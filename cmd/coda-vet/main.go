@@ -1,19 +1,30 @@
-// Command coda-vet runs the whole-program determinism proofs over the
-// enclosing module: transitive purity of everything reachable from the
-// engine (with witness call chains), the declarative import-layering DAG,
-// and checkpoint encode/decode completeness.
+// Command coda-vet is the repository's static analyzer. It loads and
+// type-checks internal/... and cmd/... of the enclosing module once and
+// runs both rule sets over that one load:
+//
+//   - the per-file determinism and concurrency rules (ordered map
+//     iteration, wall clock, stray goroutines, float equality, unchecked
+//     errors), suppressible line by line with a reasoned
+//     //coda:ordered-ok annotation;
+//   - the whole-program proofs: transitive purity of everything reachable
+//     from the engine (with witness call chains), the declarative
+//     import-layering DAG, and checkpoint encode/decode completeness.
+//
+// Findings are reported as "file:line: rule: message" lines, or as one
+// JSON array with -json.
 //
 // Usage:
 //
 //	go run ./cmd/coda-vet ./...
 //	go run ./cmd/coda-vet -json ./internal/sim
 //
-// Exit codes: 0 when every proof holds, 1 when findings survive, 2 when the
+// Exit codes: 0 when the tree is clean, 1 when findings survive, 2 when the
 // run itself fails (no module root, unreadable source, bad arguments).
 //
-// Unlike coda-lint, vet findings carry no //coda:ordered-ok escape hatch:
-// the fixes are structural, or a reviewed change to the spec in
-// internal/lint/vet.go. See DESIGN.md "Static analysis & layering".
+// The //coda:ordered-ok annotation suppresses per-file findings only: the
+// whole-program fixes are structural, or a reviewed change to the spec in
+// internal/lint/vet.go. See DESIGN.md "Determinism invariants" and
+// "Static analysis & layering".
 package main
 
 import (
@@ -31,7 +42,11 @@ func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
 			"usage: coda-vet [-json] [./... | package-dirs]\n\n"+
-				"Runs the CODA whole-program passes (%s)\nover internal/... and cmd/... of the enclosing module.\n",
+				"Runs the CODA per-file rules (%s)\nand whole-program passes (%s)\nover internal/... and cmd/... of the enclosing module.\n",
+			strings.Join([]string{
+				lint.RuleOrderedMap, lint.RuleWallClock, lint.RuleGoroutines,
+				lint.RuleFloatEq, lint.RuleUncheckedErr,
+			}, ", "),
 			strings.Join([]string{lint.RulePurity, lint.RuleLayering, lint.RuleCkptComplete}, ", "))
 		flag.PrintDefaults()
 	}
@@ -45,8 +60,8 @@ func main() {
 	os.Exit(run(flag.Args(), cwd, *jsonOut, os.Stdout, os.Stderr))
 }
 
-// run is the testable body of the command: vet the module enclosing dir,
-// restricted to the argument patterns, writing findings to stdout and
+// run is the testable body of the command: analyze the module enclosing
+// dir, restricted to the argument patterns, writing findings to stdout and
 // diagnostics to stderr. Returns the process exit code — 0 clean, 1 with
 // findings, 2 on operational errors.
 func run(args []string, dir string, jsonOut bool, stdout, stderr io.Writer) int {
@@ -55,11 +70,13 @@ func run(args []string, dir string, jsonOut bool, stdout, stderr io.Writer) int 
 		fmt.Fprintln(stderr, "coda-vet:", err)
 		return 2
 	}
-	findings, err := lint.VetTrees(root, []string{"internal", "cmd"}, lint.DefaultVetConfig())
+	m, err := lint.LoadModule(root, []string{"internal", "cmd"})
 	if err != nil {
 		fmt.Fprintln(stderr, "coda-vet:", err)
 		return 2
 	}
+	findings := append(lint.Run(m, lint.DefaultConfig()), lint.RunVet(m, lint.DefaultVetConfig())...)
+	lint.SortFindings(findings)
 	findings, err = lint.FilterToDirs(findings, args, dir)
 	if err != nil {
 		fmt.Fprintln(stderr, "coda-vet:", err)

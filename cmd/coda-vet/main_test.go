@@ -31,16 +31,27 @@ func writeTree(t *testing.T, root string, files map[string]string) {
 	}
 }
 
-// TestExitZeroOnCleanTree: vetting this repository itself must be clean —
-// the whole-program proofs are self-enforced — and a clean run exits 0 with
-// no findings printed.
+// TestExitZeroOnCleanTree: analyzing this repository itself must be clean —
+// both rule sets are self-enforced — and a clean run exits 0 with no
+// findings printed, or with exactly [] under -json.
 func TestExitZeroOnCleanTree(t *testing.T) {
-	code, stdout, stderr := runVet(t, []string{"./..."}, ".", false)
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if stdout != "" {
-		t.Errorf("clean run printed findings:\n%s", stdout)
+	for _, tc := range []struct {
+		name    string
+		jsonOut bool
+		want    string
+	}{
+		{"text", false, ""},
+		{"json", true, "[]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := runVet(t, []string{"./..."}, ".", tc.jsonOut)
+			if code != 0 {
+				t.Fatalf("exit = %d, want 0; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+			}
+			if strings.TrimSpace(stdout) != tc.want {
+				t.Errorf("clean run printed %q, want %q", stdout, tc.want)
+			}
+		})
 	}
 }
 
@@ -69,80 +80,196 @@ func N() int { return 1 }
 `,
 }
 
-// TestExitOneOnFindings: a module with whole-program violations exits 1,
-// reports them as file:line: rule: message, and the purity finding embeds
-// the witness chain.
+// perFileDirtyModule breaks only per-file rules: a decision-path package
+// leaking map order and comparing floats exactly, with no imports, so the
+// whole-program passes stay silent; internal/job is its clean subtree.
+var perFileDirtyModule = map[string]string{
+	"go.mod": "module example.com/tmpvet\n\ngo 1.21\n",
+	"internal/job/job.go": `package job
+
+// N keeps the base layer non-empty.
+func N() int { return 1 }
+`,
+	"internal/fair/fair.go": `package fair
+
+// Keys leaks map iteration order into a slice.
+func Keys(m map[string]int) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
+	}
+	return keys
+}
+
+// Eq compares floats for exact equality.
+func Eq(a, b float64) bool { return a == b }
+`,
+}
+
+// cleanModule passes every rule.
+var cleanModule = map[string]string{
+	"go.mod": "module example.com/tmpvet\n\ngo 1.21\n",
+	"internal/job/job.go": `package job
+
+// Add is trivially clean.
+func Add(a, b int) int { return a + b }
+`,
+}
+
+// TestExitOneOnFindings: a module with per-file or whole-program violations
+// exits 1 and reports them as file:line: rule: message; the purity finding
+// embeds the witness chain.
 func TestExitOneOnFindings(t *testing.T) {
-	tmp := t.TempDir()
-	writeTree(t, tmp, dirtyModule)
-	code, stdout, stderr := runVet(t, nil, tmp, false)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
-	}
-	if !strings.Contains(stdout, "import-layering") {
-		t.Errorf("missing layering finding:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "transitive-purity") || !strings.Contains(stdout, "reached via") {
-		t.Errorf("missing purity finding with witness chain:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, "finding(s)") {
-		t.Errorf("stderr missing summary: %q", stderr)
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		want  []string
+	}{
+		{"whole-program", dirtyModule, []string{"import-layering", "transitive-purity", "reached via"}},
+		{"per-file", perFileDirtyModule, []string{
+			"internal/fair/fair.go:6: ordered-map-iteration", "internal/fair/fair.go:13: float-eq",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			writeTree(t, tmp, tc.files)
+			code, stdout, stderr := runVet(t, nil, tmp, false)
+			if code != 1 {
+				t.Fatalf("exit = %d, want 1; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(stdout, w) {
+					t.Errorf("missing %q in findings:\n%s", w, stdout)
+				}
+			}
+			if !strings.Contains(stderr, "finding(s)") {
+				t.Errorf("stderr missing summary: %q", stderr)
+			}
+		})
 	}
 }
 
 // TestJSONOutput: -json renders a parseable array with module-relative paths
-// and the purity chain serialized, with stdout kept pure JSON.
+// and the purity chain serialized, with stdout kept pure JSON (the human
+// summary stays on stderr); a clean module serializes as [] with exit 0.
 func TestJSONOutput(t *testing.T) {
-	tmp := t.TempDir()
-	writeTree(t, tmp, dirtyModule)
-	code, stdout, _ := runVet(t, nil, tmp, true)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	var got []struct {
+	type jsonFinding struct {
 		File  string   `json:"file"`
 		Line  int      `json:"line"`
 		Rule  string   `json:"rule"`
 		Chain []string `json:"chain"`
 	}
-	if err := json.Unmarshal([]byte(stdout), &got); err != nil {
-		t.Fatalf("stdout is not a JSON array: %v\n%s", err, stdout)
-	}
-	var sawChain bool
-	for _, f := range got {
-		if f.File != "internal/sim/sim.go" {
-			t.Errorf("path not module-relative: %q", f.File)
-		}
-		if f.Rule == "transitive-purity" && len(f.Chain) > 0 {
-			sawChain = true
-		}
-	}
-	if !sawChain {
-		t.Error("no purity finding carried a witness chain in JSON")
+	for _, tc := range []struct {
+		name     string
+		files    map[string]string
+		wantCode int
+		check    func(t *testing.T, got []jsonFinding)
+	}{
+		{"per-file", perFileDirtyModule, 1, func(t *testing.T, got []jsonFinding) {
+			rules := map[string]bool{}
+			for _, f := range got {
+				if f.File != "internal/fair/fair.go" {
+					t.Errorf("path not module-relative: %q", f.File)
+				}
+				rules[f.Rule] = true
+			}
+			if len(got) != 2 || !rules["ordered-map-iteration"] || !rules["float-eq"] {
+				t.Errorf("unexpected JSON findings: %+v", got)
+			}
+		}},
+		{"dirty", dirtyModule, 1, func(t *testing.T, got []jsonFinding) {
+			var sawChain bool
+			for _, f := range got {
+				if f.File != "internal/sim/sim.go" {
+					t.Errorf("path not module-relative: %q", f.File)
+				}
+				if f.Rule == "transitive-purity" && len(f.Chain) > 0 {
+					sawChain = true
+				}
+			}
+			if !sawChain {
+				t.Error("no purity finding carried a witness chain in JSON")
+			}
+		}},
+		{"clean", cleanModule, 0, func(t *testing.T, got []jsonFinding) {
+			if got == nil || len(got) != 0 {
+				t.Errorf("clean run must print [], got %+v", got)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			writeTree(t, tmp, tc.files)
+			code, stdout, stderr := runVet(t, nil, tmp, true)
+			if code != tc.wantCode {
+				t.Fatalf("exit = %d, want %d; stderr:\n%s", code, tc.wantCode, stderr)
+			}
+			var got []jsonFinding
+			if err := json.Unmarshal([]byte(stdout), &got); err != nil {
+				t.Fatalf("stdout is not a JSON array: %v\n%s", err, stdout)
+			}
+			tc.check(t, got)
+		})
 	}
 }
 
 // TestArgumentFilterScopesFindings: naming a clean subtree hides the dirty
-// one's findings; a bad path is an operational error, not a clean run.
+// one's findings, for either rule set; a pattern naming a directory that does
+// not exist is an operational error (exit 2), never a silently clean run.
 func TestArgumentFilterScopesFindings(t *testing.T) {
-	tmp := t.TempDir()
-	writeTree(t, tmp, dirtyModule)
-	if code, stdout, stderr := runVet(t, []string{"./internal/job"}, tmp, false); code != 0 {
-		t.Errorf("clean subtree exit = %d, want 0; stdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+	type scoped struct {
+		args     []string
+		wantCode int
 	}
-	if code, _, _ := runVet(t, []string{"./internal/sim/..."}, tmp, false); code != 1 {
-		t.Errorf("dirty subtree exit = %d, want 1", code)
-	}
-	if code, _, stderr := runVet(t, []string{"./no-such-dir"}, tmp, false); code != 2 {
-		t.Errorf("bad path exit = %d, want 2; stderr: %s", code, stderr)
+	for _, tc := range []struct {
+		name  string
+		files map[string]string
+		runs  []scoped
+	}{
+		{"whole-program", dirtyModule, []scoped{
+			{[]string{"./internal/job"}, 0},
+			{[]string{"./internal/sim/..."}, 1},
+		}},
+		{"per-file", perFileDirtyModule, []scoped{
+			{[]string{"./internal/job"}, 0},
+			{[]string{"./internal/fair/..."}, 1},
+		}},
+		{"bad-path", dirtyModule, []scoped{
+			{[]string{"./no-such-dir"}, 2},
+			{[]string{"./no-such-dir/..."}, 2},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tmp := t.TempDir()
+			writeTree(t, tmp, tc.files)
+			for _, r := range tc.runs {
+				code, stdout, stderr := runVet(t, r.args, tmp, false)
+				if code != r.wantCode {
+					t.Errorf("%v: exit = %d, want %d; stdout:\n%s\nstderr:\n%s", r.args, code, r.wantCode, stdout, stderr)
+				}
+				if r.wantCode == 2 && !strings.Contains(stderr, "not a directory") {
+					t.Errorf("%v: stderr missing diagnosis: %q", r.args, stderr)
+				}
+			}
+		})
 	}
 }
 
 // TestExitTwoOutsideModule: running outside any Go module is an operational
-// error.
+// error in either output mode.
 func TestExitTwoOutsideModule(t *testing.T) {
-	code, _, stderr := runVet(t, nil, t.TempDir(), false)
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; stderr:\n%s", code, stderr)
+	for _, tc := range []struct {
+		name    string
+		jsonOut bool
+	}{
+		{"text", false},
+		{"json", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, _, stderr := runVet(t, nil, t.TempDir(), tc.jsonOut)
+			if code != 2 {
+				t.Fatalf("exit = %d, want 2; stderr:\n%s", code, stderr)
+			}
+		})
 	}
 }

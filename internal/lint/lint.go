@@ -1,10 +1,10 @@
-// Package lint is coda-lint: a stdlib-only static analyzer enforcing the
-// determinism and concurrency invariants CODA's reproduction rests on.
-// Identical seeds must replay identical schedules — otherwise the paper's
-// JCT and utilization numbers are unreproducible noise — so the decision
-// path must never consume Go's randomized map iteration order, wall-clock
-// time, the global math/rand stream, stray goroutines, or exact float
-// equality where accumulation order can leak in.
+// Package lint is the engine of coda-vet, a stdlib-only static analyzer
+// enforcing the determinism and concurrency invariants CODA's reproduction
+// rests on. Identical seeds must replay identical schedules — otherwise the
+// paper's JCT and utilization numbers are unreproducible noise — so the
+// decision path must never consume Go's randomized map iteration order,
+// wall-clock time, the global math/rand stream, stray goroutines, or exact
+// float equality where accumulation order can leak in.
 //
 // Five named rules (see DESIGN.md "Determinism invariants"):
 //
@@ -285,14 +285,4 @@ func SortFindings(out []Finding) {
 		}
 		return out[i].Rule < out[j].Rule
 	})
-}
-
-// LintTrees loads root's package trees and runs the default-config rules —
-// the entry point shared by the CLI and the self-enforcing test.
-func LintTrees(root string, trees []string, cfg Config) ([]Finding, error) {
-	m, err := LoadModule(root, trees)
-	if err != nil {
-		return nil, err
-	}
-	return Run(m, cfg), nil
 }

@@ -166,7 +166,7 @@ func LoadDirs(root, modPath string, dirs []string) (*Module, error) {
 // "./internal/sim", "internal/sched/..."), resolved relative to dir. With no
 // arguments or a bare "./..." everything stays. A pattern naming a directory
 // that does not exist is an error — a typo'd path must not look like a clean
-// run. Shared by the coda-lint and coda-vet CLIs.
+// run. Used by the coda-vet CLI.
 func FilterToDirs(findings []Finding, args []string, dir string) ([]Finding, error) {
 	var prefixes []string
 	for _, a := range args {

@@ -11,14 +11,7 @@ import (
 // proof the engine advertises — no reachable wall clock, rand, host I/O, or
 // goroutine; the layer DAG holds; every checkpoint field round-trips.
 func TestRepositoryIsVetClean(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := VetTrees(root, []string{"internal", "cmd"}, DefaultVetConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := RunVet(loadRepo(t), DefaultVetConfig())
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}

@@ -1,6 +1,6 @@
 // Package runner executes a Matrix of independent simulation runs across a
 // bounded worker pool. It is the only deterministic-adjacent package in
-// this repository allowed to use goroutines (coda-lint's
+// this repository allowed to use goroutines (coda-vet's
 // no-stray-goroutines allowlist admits exactly internal/runner and the
 // wall-clock-exempt internal/history): the simulator stays a sealed,
 // single-threaded world, and parallelism exists purely between runs, never

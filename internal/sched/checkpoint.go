@@ -49,9 +49,11 @@ func fillQueue(q *list.List, jobs []job.Job) {
 	}
 }
 
+// fifoState is FIFO's checkpoint encoding. Checkpoints written while FIFO
+// had a scan-depth bound also carry a "Window" key; decoding must stay
+// tolerant of unknown keys so they still restore.
 type fifoState struct {
 	Jobs         []job.Job
-	Window       int
 	ReserveDepth int
 }
 
@@ -64,7 +66,7 @@ func (f *FIFO) CheckpointState() ([]byte, error) {
 	for _, e := range f.entriesInOrder() {
 		jobs = append(jobs, *e.j)
 	}
-	return json.Marshal(fifoState{Jobs: jobs, Window: f.Window, ReserveDepth: f.ReserveDepth})
+	return json.Marshal(fifoState{Jobs: jobs, ReserveDepth: f.ReserveDepth})
 }
 
 // RestoreCheckpoint implements Checkpointer.
@@ -80,7 +82,6 @@ func (f *FIFO) RestoreCheckpoint(data []byte) error {
 		j := st.Jobs[i]
 		f.enqueue(&j)
 	}
-	f.Window = st.Window
 	f.ReserveDepth = st.ReserveDepth
 	return nil
 }

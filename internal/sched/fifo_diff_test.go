@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -18,7 +19,6 @@ import (
 type flatFIFO struct {
 	env          Env
 	queue        []*job.Job
-	Window       int
 	ReserveDepth int
 	reserved     ExcludeSet
 	failed       failedSet
@@ -44,12 +44,7 @@ func (r *flatFIFO) drain() {
 	r.reserved.Reset()
 	r.failed.reset()
 	reservations := 0
-	scanned := 0
 	for i := 0; i < len(r.queue); {
-		if r.Window > 0 && scanned >= r.Window {
-			return
-		}
-		scanned++
 		j := r.queue[i]
 		if r.failed.covered(j.Request) {
 			i++
@@ -107,6 +102,7 @@ func TestFIFOShapeHeapMatchesFlatWalk(t *testing.T) {
 		Nodes: 4, CoresPerNode: 8, GPUsPerNode: 2,
 		BandwidthGBs: 100, PCIeGBs: 16, CPUOnlyNodes: 2,
 	}
+	restartedJobs := 0
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 
@@ -116,12 +112,10 @@ func TestFIFOShapeHeapMatchesFlatWalk(t *testing.T) {
 		fast.Bind(envA)
 		flat := &flatFIFO{}
 		flat.Bind(envB)
-		// Exercise reservations on most seeds, the Window-bounded scan on
-		// every fourth (it counts covered skips, so it takes the flat path
-		// in both implementations — still worth diffing).
+		// Exercise reservations on most seeds and the no-reservation path
+		// (ReserveDepth 0) on every fourth.
 		switch seed % 4 {
 		case 0:
-			fast.Window, flat.Window = 3, 3
 		case 1:
 			fast.ReserveDepth, flat.ReserveDepth = 1, 1
 		default:
@@ -156,7 +150,7 @@ func TestFIFOShapeHeapMatchesFlatWalk(t *testing.T) {
 			for _, j := range flat.queue {
 				flatJobs = append(flatJobs, *j)
 			}
-			want, err := json.Marshal(fifoState{Jobs: flatJobs, Window: flat.Window, ReserveDepth: flat.ReserveDepth})
+			want, err := json.Marshal(fifoState{Jobs: flatJobs, ReserveDepth: flat.ReserveDepth})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,21 +228,43 @@ func TestFIFOShapeHeapMatchesFlatWalk(t *testing.T) {
 		}
 
 		// Checkpoint round-trip: a restored scheduler must serialize to the
-		// same bytes and behave identically on a subsequent tick.
+		// same bytes and start the same jobs in the same order on a fresh
+		// cluster. The second input is the same queue in the encoding of
+		// FIFOs that still had a scan-depth bound: an extra "Window":0 key
+		// that restore must ignore.
 		ck, err := fast.CheckpointState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored := NewFIFO()
-		if err := restored.RestoreCheckpoint(ck); err != nil {
-			t.Fatalf("seed %d: restore: %v", seed, err)
+		legacy := bytes.Replace(ck, []byte(`,"ReserveDepth":`), []byte(`,"Window":0,"ReserveDepth":`), 1)
+		if bytes.Equal(legacy, ck) {
+			t.Fatalf("seed %d: no ReserveDepth key to put the legacy Window key before: %s", seed, ck)
 		}
-		ck2, err := restored.CheckpointState()
-		if err != nil {
-			t.Fatal(err)
+		var wantStarted []job.ID
+		for i, in := range [][]byte{ck, legacy} {
+			restored := NewFIFO()
+			if err := restored.RestoreCheckpoint(in); err != nil {
+				t.Fatalf("seed %d input %d: restore: %v", seed, i, err)
+			}
+			ck2, err := restored.CheckpointState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ck, ck2) {
+				t.Fatalf("seed %d input %d: checkpoint changed across restore:\n%s\nvs\n%s", seed, i, ck, ck2)
+			}
+			env := newFakeEnv(cfg)
+			restored.Bind(env)
+			restored.Tick()
+			if i == 0 {
+				wantStarted = env.started
+				restartedJobs += len(wantStarted)
+			} else if !slices.Equal(env.started, wantStarted) {
+				t.Fatalf("seed %d input %d: restored FIFO started %v, want %v", seed, i, env.started, wantStarted)
+			}
 		}
-		if !bytes.Equal(ck, ck2) {
-			t.Fatalf("seed %d: checkpoint changed across restore:\n%s\nvs\n%s", seed, ck, ck2)
-		}
+	}
+	if restartedJobs == 0 {
+		t.Fatal("no restored FIFO started a job; the round-trip checks nothing")
 	}
 }
