@@ -24,11 +24,18 @@ func (d draw) total() int { return d.fromReserve + d.fromShared }
 // nodeBudget partitions one node's cores between the GPU resource array
 // ("reserve") and the CPU resource array ("shared"), tracking which jobs
 // drew from where so preemption can reclaim exactly the borrowed cores.
+// The pool sums are kept alongside the draw maps, so headroom queries are
+// O(1); every draw change goes through setDraw or release, which keep them
+// in step, and checkInvariants recomputes them from the maps.
 type nodeBudget struct {
 	cores    int // node core count
 	reserve  int // cores reserved for the GPU array
 	gpuDraws map[job.ID]draw
 	cpuDraws map[job.ID]draw
+
+	reserveUsed int // reserve cores in use (by GPU jobs and borrowers)
+	sharedUsed  int // CPU-budget cores in use
+	borrowed    int // reserve cores held by CPU jobs (preemptible)
 }
 
 func newNodeBudget(cores, reserve int) (*nodeBudget, error) {
@@ -46,41 +53,32 @@ func newNodeBudget(cores, reserve int) (*nodeBudget, error) {
 	}, nil
 }
 
-// reserveUsed returns the reserve cores in use (by GPU jobs and borrowers).
-func (b *nodeBudget) reserveUsed() int {
-	used := 0
-	for _, d := range b.gpuDraws {
-		used += d.fromReserve
-	}
-	for _, d := range b.cpuDraws {
-		used += d.fromReserve
-	}
-	return used
-}
-
-// sharedUsed returns the CPU-budget cores in use.
-func (b *nodeBudget) sharedUsed() int {
-	used := 0
-	for _, d := range b.gpuDraws {
-		used += d.fromShared
-	}
-	for _, d := range b.cpuDraws {
-		used += d.fromShared
-	}
-	return used
-}
-
 // reserveFree and sharedFree are the pools' headroom.
-func (b *nodeBudget) reserveFree() int { return b.reserve - b.reserveUsed() }
-func (b *nodeBudget) sharedFree() int  { return b.cores - b.reserve - b.sharedUsed() }
+func (b *nodeBudget) reserveFree() int { return b.reserve - b.reserveUsed }
+func (b *nodeBudget) sharedFree() int  { return b.cores - b.reserve - b.sharedUsed }
 
-// borrowedCores returns the reserve cores held by CPU jobs (preemptible).
-func (b *nodeBudget) borrowedCores() int {
-	total := 0
-	for _, d := range b.cpuDraws {
-		total += d.fromReserve
+// account adds sign × d to the pool sums; a CPU job's reserve share is
+// also borrowed.
+func (b *nodeBudget) account(d draw, cpu bool, sign int) {
+	b.reserveUsed += sign * d.fromReserve
+	b.sharedUsed += sign * d.fromShared
+	if cpu {
+		b.borrowed += sign * d.fromReserve
 	}
-	return total
+}
+
+// setDraw records a job's draw, replacing any earlier one in the same map,
+// and keeps the pool sums in step.
+func (b *nodeBudget) setDraw(id job.ID, d draw, cpu bool) {
+	m := b.gpuDraws
+	if cpu {
+		m = b.cpuDraws
+	}
+	if old, ok := m[id]; ok {
+		b.account(old, cpu, -1)
+	}
+	m[id] = d
+	b.account(d, cpu, 1)
 }
 
 // borrowers lists CPU jobs holding reserve cores, largest borrowers first
@@ -114,7 +112,7 @@ func (b *nodeBudget) chargeGPU(id job.ID, cores int) bool {
 	if cores-r > b.sharedFree() {
 		return false
 	}
-	b.gpuDraws[id] = draw{fromReserve: r, fromShared: cores - r}
+	b.setDraw(id, draw{fromReserve: r, fromShared: cores - r}, false)
 	return true
 }
 
@@ -129,14 +127,20 @@ func (b *nodeBudget) chargeCPU(id job.ID, cores int, allowBorrow bool) bool {
 	if rest > 0 && (!allowBorrow || rest > b.reserveFree()) {
 		return false
 	}
-	b.cpuDraws[id] = draw{fromShared: s, fromReserve: rest}
+	b.setDraw(id, draw{fromShared: s, fromReserve: rest}, true)
 	return true
 }
 
 // release frees whatever the job drew.
 func (b *nodeBudget) release(id job.ID) {
-	delete(b.gpuDraws, id)
-	delete(b.cpuDraws, id)
+	if d, ok := b.gpuDraws[id]; ok {
+		b.account(d, false, -1)
+		delete(b.gpuDraws, id)
+	}
+	if d, ok := b.cpuDraws[id]; ok {
+		b.account(d, true, -1)
+		delete(b.cpuDraws, id)
+	}
 }
 
 // resize rebooks a job's cores. GPU jobs grow into the reserve first;
@@ -145,15 +149,17 @@ func (b *nodeBudget) release(id job.ID) {
 // the pools cannot cover growth.
 func (b *nodeBudget) resize(id job.ID, newCores int) bool {
 	if d, ok := b.gpuDraws[id]; ok {
-		return b.resizeDraw(b.gpuDraws, id, d, newCores, true)
+		return b.resizeDraw(id, d, newCores, true)
 	}
 	if d, ok := b.cpuDraws[id]; ok {
-		return b.resizeDraw(b.cpuDraws, id, d, newCores, false)
+		return b.resizeDraw(id, d, newCores, false)
 	}
 	return false
 }
 
-func (b *nodeBudget) resizeDraw(m map[job.ID]draw, id job.ID, d draw, newCores int, preferReserve bool) bool {
+// resizeDraw computes the job's new draw against the free pools as they
+// stand — the job's old draw still counted — and only then re-accounts it.
+func (b *nodeBudget) resizeDraw(id job.ID, d draw, newCores int, preferReserve bool) bool {
 	if newCores <= 0 {
 		return false
 	}
@@ -195,17 +201,32 @@ func (b *nodeBudget) resizeDraw(m map[job.ID]draw, id job.ID, d draw, newCores i
 			return false
 		}
 	}
-	m[id] = d
+	b.setDraw(id, d, !preferReserve)
 	return true
 }
 
-// checkInvariants validates the pool accounting.
+// checkInvariants validates the pool accounting: the running sums must
+// match a recount of the draw maps, and neither pool may be overcommitted.
 func (b *nodeBudget) checkInvariants() error {
-	if b.reserveUsed() > b.reserve {
-		return fmt.Errorf("core: reserve overcommitted (%d > %d)", b.reserveUsed(), b.reserve)
+	reserveUsed, sharedUsed, borrowed := 0, 0, 0
+	for _, d := range b.gpuDraws {
+		reserveUsed += d.fromReserve
+		sharedUsed += d.fromShared
 	}
-	if b.sharedUsed() > b.cores-b.reserve {
-		return fmt.Errorf("core: shared pool overcommitted (%d > %d)", b.sharedUsed(), b.cores-b.reserve)
+	for _, d := range b.cpuDraws {
+		reserveUsed += d.fromReserve
+		sharedUsed += d.fromShared
+		borrowed += d.fromReserve
+	}
+	if reserveUsed != b.reserveUsed || sharedUsed != b.sharedUsed || borrowed != b.borrowed {
+		return fmt.Errorf("core: pool sums drifted (reserve %d, shared %d, borrowed %d; draws sum to %d, %d, %d)",
+			b.reserveUsed, b.sharedUsed, b.borrowed, reserveUsed, sharedUsed, borrowed)
+	}
+	if b.reserveUsed > b.reserve {
+		return fmt.Errorf("core: reserve overcommitted (%d > %d)", b.reserveUsed, b.reserve)
+	}
+	if b.sharedUsed > b.cores-b.reserve {
+		return fmt.Errorf("core: shared pool overcommitted (%d > %d)", b.sharedUsed, b.cores-b.reserve)
 	}
 	//coda:ordered-ok error reporting on already-corrupt state; any witness will do
 	for id, d := range b.gpuDraws {

@@ -33,20 +33,20 @@ func TestChargeGPUPrefersReserve(t *testing.T) {
 	if !b.chargeGPU(1, 4) {
 		t.Fatal("chargeGPU failed")
 	}
-	if got := b.reserveUsed(); got != 4 {
+	if got := b.reserveUsed; got != 4 {
 		t.Errorf("reserveUsed = %d, want 4", got)
 	}
-	if got := b.sharedUsed(); got != 0 {
+	if got := b.sharedUsed; got != 0 {
 		t.Errorf("sharedUsed = %d, want 0", got)
 	}
 	// Next GPU job spills into the shared pool (reserve has 2 left).
 	if !b.chargeGPU(2, 5) {
 		t.Fatal("second chargeGPU failed")
 	}
-	if got := b.reserveUsed(); got != 6 {
+	if got := b.reserveUsed; got != 6 {
 		t.Errorf("reserveUsed = %d, want 6", got)
 	}
-	if got := b.sharedUsed(); got != 3 {
+	if got := b.sharedUsed; got != 3 {
 		t.Errorf("sharedUsed = %d, want 3", got)
 	}
 	// Pools exhausted beyond capacity.
@@ -80,8 +80,8 @@ func TestChargeCPUBorrowing(t *testing.T) {
 	if !b.chargeCPU(2, 5, true) {
 		t.Fatal("chargeCPU with borrow failed")
 	}
-	if got := b.borrowedCores(); got != 4 {
-		t.Errorf("borrowedCores = %d, want 4", got)
+	if got := b.borrowed; got != 4 {
+		t.Errorf("borrowed = %d, want 4", got)
 	}
 	borrowers := b.borrowers()
 	if len(borrowers) != 1 || borrowers[0] != 2 {
@@ -117,8 +117,8 @@ func TestRelease(t *testing.T) {
 	}
 	b.release(1)
 	b.release(2)
-	if b.reserveUsed() != 0 || b.sharedUsed() != 0 {
-		t.Errorf("pools not empty: reserve=%d shared=%d", b.reserveUsed(), b.sharedUsed())
+	if b.reserveUsed != 0 || b.sharedUsed != 0 {
+		t.Errorf("pools not empty: reserve=%d shared=%d", b.reserveUsed, b.sharedUsed)
 	}
 	b.release(99) // releasing unknown is a no-op
 }
@@ -132,15 +132,15 @@ func TestResizeGPUJob(t *testing.T) {
 	if !b.resize(1, 7) {
 		t.Fatal("resize grow failed")
 	}
-	if b.reserveUsed() != 5 || b.sharedUsed() != 2 {
-		t.Errorf("pools = reserve %d shared %d, want 5, 2", b.reserveUsed(), b.sharedUsed())
+	if b.reserveUsed != 5 || b.sharedUsed != 2 {
+		t.Errorf("pools = reserve %d shared %d, want 5, 2", b.reserveUsed, b.sharedUsed)
 	}
 	// Shrink to 4: shared cores returned first.
 	if !b.resize(1, 4) {
 		t.Fatal("resize shrink failed")
 	}
-	if b.reserveUsed() != 4 || b.sharedUsed() != 0 {
-		t.Errorf("pools = reserve %d shared %d, want 4, 0", b.reserveUsed(), b.sharedUsed())
+	if b.reserveUsed != 4 || b.sharedUsed != 0 {
+		t.Errorf("pools = reserve %d shared %d, want 4, 0", b.reserveUsed, b.sharedUsed)
 	}
 	// Impossible growth.
 	if b.resize(1, 11) {
@@ -166,11 +166,11 @@ func TestResizeCPUJobReturnsReserveFirst(t *testing.T) {
 		t.Fatal("shrink failed")
 	}
 	// The 3 borrowed reserve cores must be returned before shared ones.
-	if got := b.borrowedCores(); got != 0 {
-		t.Errorf("borrowedCores = %d, want 0", got)
+	if got := b.borrowed; got != 0 {
+		t.Errorf("borrowed = %d, want 0", got)
 	}
-	if b.sharedUsed() != 4 {
-		t.Errorf("sharedUsed = %d, want 4", b.sharedUsed())
+	if b.sharedUsed != 4 {
+		t.Errorf("sharedUsed = %d, want 4", b.sharedUsed)
 	}
 }
 
@@ -184,42 +184,92 @@ func TestResizeNoChange(t *testing.T) {
 	}
 }
 
-// TestBudgetConservationProperty: for any sequence of charges, used never
-// exceeds capacity and the invariants hold.
+// TestBudgetConservationProperty: for any interleaving of charges, grow
+// and shrink resizes (refused growth included) and releases, used never
+// exceeds capacity, the invariants hold — checkInvariants recounts the
+// running pool sums from the draw maps — and a refused resize leaves the
+// job's draw and the sums untouched.
 func TestBudgetConservationProperty(t *testing.T) {
+	borrowingCharges := 0 // CPU charges across all cases that drew on the reserve
 	f := func(ops []uint8) bool {
 		b, err := newNodeBudget(16, 8)
 		if err != nil {
 			return false
 		}
-		id := job.ID(1)
-		for _, op := range ops {
+		var live []job.ID
+		next := job.ID(1)
+		for i, op := range ops {
 			cores := int(op%6) + 1
-			switch op % 3 {
+			switch op % 4 {
 			case 0:
-				if b.chargeGPU(id, cores) {
-					id++
+				if b.chargeGPU(next, cores) {
+					live = append(live, next)
+					next++
 				}
 			case 1:
-				if b.chargeCPU(id, cores, op%2 == 0) {
-					id++
+				// The borrow flag comes from a bit the op%4 switch leaves free.
+				if b.chargeCPU(next, cores, (op>>2)%2 == 0) {
+					if b.cpuDraws[next].fromReserve > 0 {
+						borrowingCharges++
+					}
+					live = append(live, next)
+					next++
 				}
 			case 2:
-				if id > 1 {
-					b.release(id - 1)
-					id--
+				if len(live) == 0 {
+					break
 				}
+				id := live[i%len(live)]
+				// Grow by up to 10 cores (often more than the pools hold) or
+				// shrink, never below one core.
+				newCores := int(op/4)%11 + 1
+				beforeG, beforeC := b.gpuDraws[id], b.cpuDraws[id]
+				reserveUsed, sharedUsed, borrowed := b.reserveUsed, b.sharedUsed, b.borrowed
+				if !b.resize(id, newCores) {
+					if b.gpuDraws[id] != beforeG || b.cpuDraws[id] != beforeC ||
+						b.reserveUsed != reserveUsed || b.sharedUsed != sharedUsed || b.borrowed != borrowed {
+						return false
+					}
+				} else if b.gpuDraws[id].total()+b.cpuDraws[id].total() != newCores {
+					return false
+				}
+			case 3:
+				if len(live) == 0 {
+					break
+				}
+				k := i % len(live)
+				b.release(live[k])
+				live = append(live[:k], live[k+1:]...)
 			}
 			if b.checkInvariants() != nil {
 				return false
 			}
-			if b.reserveUsed()+b.sharedUsed() > 16 {
+			if b.reserveUsed+b.sharedUsed > 16 {
 				return false
 			}
 		}
-		return true
+		for _, id := range live {
+			b.release(id)
+		}
+		return b.checkInvariants() == nil && b.reserveUsed == 0 && b.sharedUsed == 0 && b.borrowed == 0
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+	if borrowingCharges == 0 {
+		t.Error("no CPU charge borrowed reserve cores; the borrowed sum went unexercised")
+	}
+}
+
+// TestBudgetSumsDriftDetected: checkInvariants catches running sums that
+// disagree with the draw maps.
+func TestBudgetSumsDriftDetected(t *testing.T) {
+	b := mustBudget(t, 16, 8)
+	if !b.chargeCPU(1, 10, true) {
+		t.Fatal("charge failed")
+	}
+	b.borrowed--
+	if err := b.checkInvariants(); err == nil {
+		t.Error("checkInvariants accepted a borrowed sum one below the draws")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"container/list"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -191,8 +192,8 @@ func (s *Scheduler) CheckpointState() ([]byte, error) {
 	m := s.arrays
 	st.Arrays = multiArrayState{
 		Budgets:     make([]budgetState, len(m.budgets)),
-		FourG:       append([]int(nil), m.fourG...),
-		OneG:        append([]int(nil), m.oneG...),
+		FourG:       idRange(0, m.fourGNodes),
+		OneG:        idRange(m.fourGNodes, m.gpuNodes),
 		CPUAcc:      m.cpuAcc.CheckpointState(),
 		GPUAcc:      m.gpuAcc.CheckpointState(),
 		CPUQueues:   sortedQueues(m.cpuQueues),
@@ -303,22 +304,24 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 			if _, dup := b.gpuDraws[d.Job]; dup {
 				return fmt.Errorf("coda: node %d duplicate gpu draw for job %d", i, d.Job)
 			}
-			b.gpuDraws[d.Job] = draw{fromReserve: d.FromReserve, fromShared: d.FromShared}
+			b.setDraw(d.Job, draw{fromReserve: d.FromReserve, fromShared: d.FromShared}, false)
 		}
 		for _, d := range bs.CPUDraws {
 			if _, dup := b.cpuDraws[d.Job]; dup {
 				return fmt.Errorf("coda: node %d duplicate cpu draw for job %d", i, d.Job)
 			}
-			b.cpuDraws[d.Job] = draw{fromReserve: d.FromReserve, fromShared: d.FromShared}
+			b.setDraw(d.Job, draw{fromReserve: d.FromReserve, fromShared: d.FromShared}, true)
 		}
 	}
-	for _, nid := range append(append([]int(nil), st.Arrays.FourG...), st.Arrays.OneG...) {
-		if nid < 0 || nid >= m.gpuNodes {
-			return fmt.Errorf("coda: sub-array node %d out of range [0,%d)", nid, m.gpuNodes)
-		}
+	// The sub-arrays are contiguous ID ranges (see MultiArray.fourGNodes);
+	// any other split cannot be represented.
+	k := len(st.Arrays.FourG)
+	if k > m.gpuNodes || !slices.Equal(st.Arrays.FourG, idRange(0, k)) ||
+		!slices.Equal(st.Arrays.OneG, idRange(k, m.gpuNodes)) {
+		return fmt.Errorf("coda: sub-array split (%d + %d nodes) is not the contiguous layout [0,%d), [%d,%d)",
+			k, len(st.Arrays.OneG), k, k, m.gpuNodes)
 	}
-	m.fourG = append([]int(nil), st.Arrays.FourG...)
-	m.oneG = append([]int(nil), st.Arrays.OneG...)
+	m.fourGNodes = k
 	if err := m.cpuAcc.RestoreCheckpointState(st.Arrays.CPUAcc); err != nil {
 		return fmt.Errorf("coda: restore cpu accountant: %w", err)
 	}
@@ -377,4 +380,13 @@ func (s *Scheduler) RestoreCheckpoint(data []byte) error {
 		return fmt.Errorf("coda: restored state fails invariants: %w", err)
 	}
 	return nil
+}
+
+// idRange returns the node IDs [lo, hi), or nil when the range is empty.
+func idRange(lo, hi int) []int {
+	var ids []int
+	for id := lo; id < hi; id++ {
+		ids = append(ids, id)
+	}
+	return ids
 }

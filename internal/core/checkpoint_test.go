@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -69,6 +70,20 @@ func TestCheckpointRoundTripMidRun(t *testing.T) {
 	if err := fresh.Arrays().CheckInvariants(); err != nil {
 		t.Fatalf("multi-array invariants after restore: %v", err)
 	}
+	// The running pool sums are not serialized; restore must rebuild them
+	// through the same accounting the live run used.
+	inUse := 0
+	for nid, live := range s.Arrays().budgets {
+		got := fresh.Arrays().budgets[nid]
+		if got.reserveUsed != live.reserveUsed || got.sharedUsed != live.sharedUsed || got.borrowed != live.borrowed {
+			t.Errorf("node %d sums after restore (reserve %d, shared %d, borrowed %d), live run (%d, %d, %d)",
+				nid, got.reserveUsed, got.sharedUsed, got.borrowed, live.reserveUsed, live.sharedUsed, live.borrowed)
+		}
+		inUse += live.reserveUsed + live.sharedUsed
+	}
+	if inUse == 0 {
+		t.Fatal("the midpoint has no cores in use; the sums check proves nothing")
+	}
 }
 
 // TestRestoreCheckpointRejects pins the restore-time validation: corrupt
@@ -104,5 +119,38 @@ func TestRestoreCheckpointRejects(t *testing.T) {
 	}
 	if err := narrow.RestoreCheckpoint(blob); err == nil {
 		t.Error("restore across cluster-shape mismatch succeeded, want error")
+	}
+
+	// The sub-arrays must be the contiguous ID ranges the GPU probe reads
+	// membership from: a permuted split, or one missing a node, is refused.
+	var st schedulerState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	fourG, oneG := st.Arrays.FourG, st.Arrays.OneG
+	if len(fourG) == 0 || len(oneG) == 0 {
+		t.Fatalf("mid-run split 4-GPU %v, 1-GPU %v: want both sub-arrays non-empty", fourG, oneG)
+	}
+	for _, c := range []struct {
+		name        string
+		fourG, oneG []int
+	}{
+		{"untouched", fourG, oneG}, // control: the re-encoded checkpoint restores
+		{"permuted", append([]int{oneG[0]}, fourG[1:]...), append([]int{fourG[0]}, oneG[1:]...)},
+		{"missing-node", fourG, oneG[:len(oneG)-1]},
+	} {
+		bad := st
+		bad.Arrays.FourG, bad.Arrays.OneG = c.fourG, c.oneG
+		data, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = newCoda(t, cfg, opts).RestoreCheckpoint(data)
+		if c.name == "untouched" && err != nil {
+			t.Fatalf("restore of the re-encoded checkpoint: %v", err)
+		}
+		if c.name != "untouched" && err == nil {
+			t.Errorf("restore of a %s sub-array split (4-GPU %v, 1-GPU %v) succeeded, want error", c.name, c.fourG, c.oneG)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"github.com/coda-repro/coda/internal/cluster"
@@ -56,10 +55,6 @@ type Scheduler struct {
 	arrived map[job.ID]time.Duration
 	done    int
 	gpus    int // gpus per node, for rebalance
-
-	// Per-drain scratch reused across ticks.
-	beforeDrain map[job.ID]bool
-	newlyUp     []job.ID
 }
 
 var _ sched.Scheduler = (*Scheduler)(nil)
@@ -256,31 +251,19 @@ func (s *Scheduler) Tick() {
 }
 
 // drain runs the arrays' scheduling pass and starts tuning sessions for
-// training jobs that were just placed.
+// training jobs that were just placed. The arrays journal every start, so
+// the cost follows the pass's work, not the running set. A CPU job that
+// was preempted in drainGPU and restarted in drainCPU shows up although it
+// ran before the pass; that is harmless, since its first-start time is
+// already recorded and CPU jobs start no tuning session.
 func (s *Scheduler) drain() {
-	if s.beforeDrain == nil {
-		s.beforeDrain = make(map[job.ID]bool, len(s.arrays.running))
-	}
-	before := s.beforeDrain
-	clear(before)
-	for id := range s.arrays.running {
-		before[id] = true
-	}
+	s.arrays.resetStarted()
 	s.arrays.Drain()
-	// Tuning sessions start in job-ID order: OnStarted feeds the allocator's
-	// per-job state machine, and a map-order walk here would thread Go's
-	// iteration randomness into which session the next shared-noise reading
-	// belongs to.
-	started := s.newlyUp[:0]
-	//coda:ordered-ok collected IDs are sorted before use
-	for id := range s.arrays.running {
-		if !before[id] {
-			started = append(started, id)
-		}
-	}
-	slices.Sort(started)
-	s.newlyUp = started
-	for _, id := range started {
+	// Tuning sessions start in job-ID order (takeStarted sorts): OnStarted
+	// feeds the allocator's per-job state machine, and a map-order walk
+	// here would thread Go's iteration randomness into which session the
+	// next shared-noise reading belongs to.
+	for _, id := range s.arrays.takeStarted() {
 		info := s.arrays.running[id]
 		if _, ok := s.started[id]; !ok {
 			s.started[id] = s.env.Now()

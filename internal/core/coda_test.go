@@ -464,8 +464,8 @@ func TestLargeJobPrefersFourGNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Arrays().fourG) != 1 || s.Arrays().fourG[0] != 0 {
-		t.Fatalf("fourG nodes = %v, want [0]", s.Arrays().fourG)
+	if s.Arrays().fourGNodes != 1 {
+		t.Fatalf("4-GPU sub-array holds %d nodes, want 1 (node 0)", s.Arrays().fourGNodes)
 	}
 	res, err := simulator.Run()
 	if err != nil {

@@ -53,6 +53,9 @@ type Eliminator struct {
 	// degraded counts node checks skipped because bandwidth telemetry was
 	// dark (chaos dropouts): the eliminator held its last decision.
 	degraded int
+	// hosts marks, for the current check pass, the nodes running a job in
+	// throttled; relax has nothing to lift anywhere else.
+	hosts []bool
 	// Per-pass scratch reused across node checks.
 	jobIDs []job.ID
 	usages []membw.JobUsage
@@ -111,8 +114,28 @@ func (e *Eliminator) Tick() {
 	}
 	e.nextCheck = now + e.cfg.CheckInterval
 
+	e.markHosts()
 	for nid := 0; nid < e.env.Cluster().Size(); nid++ {
 		e.checkNode(nid)
+	}
+}
+
+// markHosts marks the nodes where a throttled job runs now. The marks hold
+// for the whole pass: a CPU job sits on one node, so what restrain or
+// relax does on one node changes no other node's mark.
+func (e *Eliminator) markHosts() {
+	n := e.env.Cluster().Size()
+	if len(e.hosts) != n {
+		e.hosts = make([]bool, n)
+	}
+	clear(e.hosts)
+	//coda:ordered-ok marking a set; the result does not depend on the visit order
+	for id := range e.throttled {
+		if info, ok := e.array.running[id]; ok {
+			for _, nid := range info.alloc.NodeIDs {
+				e.hosts[nid] = true
+			}
+		}
 	}
 }
 
@@ -212,8 +235,12 @@ func (e *Eliminator) restrain(nid int) {
 }
 
 // relax lifts interventions on a node whose bandwidth dropped below the
-// release level, restoring throttled jobs one per pass.
+// release level, restoring throttled jobs one per pass. Nodes that host no
+// throttled job are skipped without reading their meter.
 func (e *Eliminator) relax(nid int) {
+	if !e.hosts[nid] {
+		return
+	}
 	meter, err := e.env.Meter(nid)
 	if err != nil {
 		return

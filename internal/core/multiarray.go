@@ -59,13 +59,15 @@ type MultiArray struct {
 	budgets []*nodeBudget
 	// gpuNodes is the count of GPU nodes: budgets[0:gpuNodes] have GPUs,
 	// the rest are CPU-only nodes (§VI-G heterogeneous clusters).
-	gpuNodes  int
-	fourG     []int // node IDs of the 4-GPU sub-array
-	oneG      []int // node IDs of the 1-GPU sub-array
-	cpuAcc    *fair.Accountant
-	gpuAcc    *fair.Accountant
-	cpuQueues map[job.TenantID]*list.List
-	gpuQueues map[job.TenantID]*list.List
+	gpuNodes int
+	// fourGNodes sizes the GPU sub-arrays, which are contiguous ID ranges:
+	// the 4-GPU sub-array is [0, fourGNodes), the 1-GPU sub-array
+	// [fourGNodes, gpuNodes).
+	fourGNodes int
+	cpuAcc     *fair.Accountant
+	gpuAcc     *fair.Accountant
+	cpuQueues  map[job.TenantID]*list.List
+	gpuQueues  map[job.TenantID]*list.List
 	// desired is the allocator-chosen core count for pending GPU jobs.
 	desired map[job.ID]int
 	running map[job.ID]*runInfo
@@ -73,18 +75,23 @@ type MultiArray struct {
 	DisablePreemption bool
 	// preemptions counts cross-array reclaims (for reports).
 	preemptions int
+	// startedLog journals, in start order, every job started since the last
+	// resetStarted — duplicates and since-preempted jobs included;
+	// takeStarted cleans it up.
+	startedLog []job.ID
 
 	// Per-pass scratch reused across drains (a scheduler is single-threaded).
 	blocked    map[job.TenantID]bool
 	tenants    []job.TenantID
 	candidates []job.TenantID
-	nodeOrder  []int
 	cands      []gpuCandidate
 }
 
-// gpuCandidate is a feasible node for a GPU placement pass.
+// gpuCandidate is a feasible node for a GPU placement pass; own marks the
+// job's own sub-array.
 type gpuCandidate struct {
-	nid, freeGPUs, pref int
+	nid, freeGPUs int
+	own           bool
 }
 
 // NewMultiArray builds the scheduler for a cluster of nodes × coresPerNode
@@ -131,16 +138,9 @@ func NewMultiArrayForCluster(cfg ArrayConfig, cc cluster.Config) (*MultiArray, e
 		}
 		m.budgets[i] = b
 	}
-	fourGCount := int(float64(cc.Nodes)*cfg.FourGNodeFraction + 0.5)
+	m.fourGNodes = int(float64(cc.Nodes)*cfg.FourGNodeFraction + 0.5)
 	if cc.GPUsPerNode < LargeJobGPUs {
-		fourGCount = 0 // nodes cannot host 4-GPU-per-node jobs anyway
-	}
-	for i := 0; i < cc.Nodes; i++ {
-		if i < fourGCount {
-			m.fourG = append(m.fourG, i)
-		} else {
-			m.oneG = append(m.oneG, i)
-		}
+		m.fourGNodes = 0 // nodes cannot host 4-GPU-per-node jobs anyway
 	}
 	sharedTotal := float64(cc.Nodes*(cc.CoresPerNode-cfg.ReserveCores) + cc.CPUOnlyNodes*cc.CoresPerNode)
 	if sharedTotal <= 0 {
@@ -340,6 +340,25 @@ func (m *MultiArray) GPUJobsPending() bool {
 	return false
 }
 
+// resetStarted empties the start journal.
+func (m *MultiArray) resetStarted() { m.startedLog = m.startedLog[:0] }
+
+// takeStarted returns the journaled jobs that are still running, ascending
+// and without duplicates. The slice is the journal's storage, valid until
+// the next resetStarted.
+func (m *MultiArray) takeStarted() []job.ID {
+	kept := m.startedLog[:0]
+	for _, id := range m.startedLog {
+		if _, ok := m.running[id]; ok {
+			kept = append(kept, id)
+		}
+	}
+	slices.Sort(kept)
+	kept = slices.Compact(kept)
+	m.startedLog = kept
+	return kept
+}
+
 // Drain runs both arrays' scheduling passes: GPU jobs first (they hold the
 // scarce resource and may preempt borrowed cores), then CPU jobs.
 func (m *MultiArray) Drain() {
@@ -421,23 +440,6 @@ func (m *MultiArray) drainCPU() {
 	}
 }
 
-// gpuNodeOrder returns the placement preference for a training job: its
-// own sub-array first, the other as fallback (§V-C). The returned slice is
-// the reusable m.nodeOrder scratch, valid until the next call.
-func (m *MultiArray) gpuNodeOrder(j *job.Job) []int {
-	large := j.Request.GPUs >= LargeJobGPUs
-	order := m.nodeOrder[:0]
-	if large {
-		order = append(order, m.fourG...)
-		order = append(order, m.oneG...)
-	} else {
-		order = append(order, m.oneG...)
-		order = append(order, m.fourG...)
-	}
-	m.nodeOrder = order
-	return order
-}
-
 // startGPU attempts to place and start a training job with its
 // allocator-chosen core count, preempting borrowed reserve cores if that
 // is what stands in the way. When even preemption cannot fund the desired
@@ -472,81 +474,12 @@ func nextSlimmer(cores int) int {
 // startGPUAt tries one specific core count.
 func (m *MultiArray) startGPUAt(j *job.Job, cores int) bool {
 	gpus := j.Request.GPUsPerNode()
-	order := m.gpuNodeOrder(j)
-	ownLen := len(m.oneG)
-	if j.Request.GPUs >= LargeJobGPUs {
-		ownLen = len(m.fourG)
-	}
-
-	pickNodes := func(withPreempt bool) []int {
-		m.env.Cluster().NotePlacementQuery()
-		// Collect all feasible nodes in preference order, then pack
-		// best-fit (fewest free GPUs first) so large GPU holes survive for
-		// 4-GPU jobs — the multi-array design's anti-fragmentation goal.
-		cands := m.cands[:0]
-		for pref, nid := range order {
-			n, err := m.env.Cluster().Node(nid)
-			if err != nil || n.FreeGPUs() < gpus {
-				continue
-			}
-			b := m.budgets[nid]
-			headroom := b.reserveFree() + b.sharedFree()
-			if withPreempt {
-				headroom += b.borrowedCores()
-			}
-			if headroom < cores {
-				continue
-			}
-			cands = append(cands, gpuCandidate{nid: nid, freeGPUs: n.FreeGPUs(), pref: pref})
-		}
-		m.cands = cands
-		if len(cands) < j.Request.Nodes {
-			return nil
-		}
-		// breaksHole marks placements that would split an intact >= 4-GPU
-		// hole, the resource large jobs need; keep such holes whole unless
-		// nothing else fits.
-		breaksHole := func(c gpuCandidate) bool {
-			return gpus < LargeJobGPUs &&
-				c.freeGPUs >= LargeJobGPUs && c.freeGPUs-gpus < LargeJobGPUs
-		}
-		slices.SortFunc(cands, func(a, b gpuCandidate) int {
-			// Stay within the preferred sub-array region first, avoid
-			// breaking 4-GPU holes second, then pack best-fit. The nid
-			// tie-break makes this a total order, so the sort is
-			// deterministic regardless of algorithm.
-			aOwn, bOwn := a.pref < ownLen, b.pref < ownLen
-			if aOwn != bOwn {
-				if aOwn {
-					return -1
-				}
-				return 1
-			}
-			aBreak, bBreak := breaksHole(a), breaksHole(b)
-			if aBreak != bBreak {
-				if bBreak {
-					return -1
-				}
-				return 1
-			}
-			if a.freeGPUs != b.freeGPUs {
-				return a.freeGPUs - b.freeGPUs
-			}
-			return a.nid - b.nid
-		})
-		nodes := make([]int, 0, j.Request.Nodes)
-		for _, c := range cands[:j.Request.Nodes] {
-			nodes = append(nodes, c.nid)
-		}
-		return nodes
-	}
-
-	nodes := pickNodes(false)
+	nodes := m.pickNodes(j, cores, false)
 	if nodes == nil {
 		if m.DisablePreemption {
 			return false
 		}
-		nodes = pickNodes(true)
+		nodes = m.pickNodes(j, cores, true)
 		if nodes == nil {
 			return false
 		}
@@ -575,11 +508,97 @@ func (m *MultiArray) startGPUAt(j *job.Job, cores int) bool {
 		return false
 	}
 	m.running[j.ID] = &runInfo{j: j, alloc: alloc}
+	m.startedLog = append(m.startedLog, j.ID)
 	_ = m.gpuAcc.Charge(j.ID, j.Tenant, fair.Resources{
 		CPU: float64(alloc.TotalCPUCores()),
 		GPU: float64(alloc.TotalGPUs()),
 	})
 	return true
+}
+
+// pickNodes chooses Request.Nodes GPU nodes whose pools can fund `cores`
+// (counting preemptible borrowed cores when withPreempt is set), or nil
+// when too few qualify. Only nodes with enough free GPUs are visited — the
+// cluster index enumerates them — and the best Request.Nodes under
+// gpuCandidateCmp are kept by selection rather than sorting every feasible
+// node. Sub-array membership comes from the ID ranges (see fourGNodes).
+func (m *MultiArray) pickNodes(j *job.Job, cores int, withPreempt bool) []int {
+	c := m.env.Cluster()
+	c.NotePlacementQuery()
+	gpus := j.Request.GPUsPerNode()
+	want := j.Request.Nodes
+	large := j.Request.GPUs >= LargeJobGPUs
+	top := m.cands[:0]
+	c.ScanPlaceable(0, gpus, false, func(n *cluster.Node) bool {
+		if n.ID >= m.gpuNodes {
+			return false // CPU-only nodes follow the GPU nodes
+		}
+		b := m.budgets[n.ID]
+		headroom := b.reserveFree() + b.sharedFree()
+		if withPreempt {
+			headroom += b.borrowed
+		}
+		if headroom < cores {
+			return true
+		}
+		top = keepBest(top, gpuCandidate{nid: n.ID, freeGPUs: n.FreeGPUs(), own: (n.ID < m.fourGNodes) == large}, want, gpus)
+		return true
+	})
+	m.cands = top
+	if len(top) < want {
+		return nil // top holds every feasible node when fewer than want qualify
+	}
+	nodes := make([]int, 0, want)
+	for _, cand := range top {
+		nodes = append(nodes, cand.nid)
+	}
+	return nodes
+}
+
+// keepBest inserts c into top, which holds at most k candidates in
+// gpuCandidateCmp order, dropping the worst when top is full.
+func keepBest(top []gpuCandidate, c gpuCandidate, k, gpus int) []gpuCandidate {
+	if len(top) >= k {
+		if k == 0 || gpuCandidateCmp(c, top[k-1], gpus) >= 0 {
+			return top
+		}
+		top = top[:k-1]
+	}
+	i := len(top)
+	for i > 0 && gpuCandidateCmp(c, top[i-1], gpus) < 0 {
+		i--
+	}
+	return slices.Insert(top, i, c)
+}
+
+// gpuCandidateCmp orders GPU placement candidates for a job taking gpus
+// GPUs per node: its own sub-array first (§V-C), then nodes where it keeps
+// an intact >= 4-GPU hole whole — the resource large jobs need — then
+// best-fit (fewest free GPUs first, so large holes survive), then node ID.
+// The ID tie-break makes this a total order, so the selection is
+// deterministic.
+func gpuCandidateCmp(a, b gpuCandidate, gpus int) int {
+	if a.own != b.own {
+		if a.own {
+			return -1
+		}
+		return 1
+	}
+	breaksHole := func(c gpuCandidate) bool {
+		return gpus < LargeJobGPUs &&
+			c.freeGPUs >= LargeJobGPUs && c.freeGPUs-gpus < LargeJobGPUs
+	}
+	aBreak, bBreak := breaksHole(a), breaksHole(b)
+	if aBreak != bBreak {
+		if bBreak {
+			return -1
+		}
+		return 1
+	}
+	if a.freeGPUs != b.freeGPUs {
+		return a.freeGPUs - b.freeGPUs
+	}
+	return a.nid - b.nid
 }
 
 // reclaimNode preempts borrowers on a node until the pools can cover
@@ -633,6 +652,7 @@ func (m *MultiArray) startCPU(j *job.Job, allowBorrow bool) bool {
 			continue
 		}
 		m.running[j.ID] = &runInfo{j: j, alloc: alloc}
+		m.startedLog = append(m.startedLog, j.ID)
 		_ = m.cpuAcc.Charge(j.ID, j.Tenant, fair.Resources{CPU: float64(cores)})
 		return true
 	}
@@ -675,10 +695,10 @@ func (m *MultiArray) Rebalance(stats history.Stats, gpusPerNode int) {
 		}
 		// Never cut below what GPU jobs + borrowers already use, and never
 		// grow beyond what the shared pool's occupancy allows.
-		if used := b.reserveUsed(); want < used {
+		if used := b.reserveUsed; want < used {
 			want = used
 		}
-		if maxGrow := b.cores - b.sharedUsed(); want > maxGrow {
+		if maxGrow := b.cores - b.sharedUsed; want > maxGrow {
 			want = maxGrow
 		}
 		b.reserve = want
@@ -688,19 +708,7 @@ func (m *MultiArray) Rebalance(stats history.Stats, gpusPerNode int) {
 	// ("The division of the corresponding array is also determined by the
 	// statistical information of the historical jobs", §V-C).
 	if gpusPerNode >= LargeJobGPUs && stats.LargeGPUShare > 0 {
-		fourGCount := int(float64(m.gpuNodes)*stats.LargeGPUShare + 0.5)
-		if fourGCount > m.gpuNodes {
-			fourGCount = m.gpuNodes
-		}
-		m.fourG = m.fourG[:0]
-		m.oneG = m.oneG[:0]
-		for i := 0; i < m.gpuNodes; i++ {
-			if i < fourGCount {
-				m.fourG = append(m.fourG, i)
-			} else {
-				m.oneG = append(m.oneG, i)
-			}
-		}
+		m.fourGNodes = min(int(float64(m.gpuNodes)*stats.LargeGPUShare+0.5), m.gpuNodes)
 	}
 }
 
