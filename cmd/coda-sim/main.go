@@ -30,7 +30,6 @@ import (
 	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/experiments"
 	"github.com/coda-repro/coda/internal/history"
-	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/runner"
 	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
@@ -153,11 +152,10 @@ func run(args []string) error {
 		return err
 	}
 
-	// Intake: a trace file replays as a materialized slice; a generated
-	// trace streams from a seeded source, so even the warehouse preset never
-	// holds more than the in-flight jobs in memory.
-	var jobs []*job.Job
-	var traceCfg *trace.Config
+	// Intake: one trace source, replaying a trace file or streaming a
+	// seeded generator, so even the warehouse preset never holds more than
+	// the in-flight jobs in memory.
+	var intake sim.RunSpec
 	if *tracePath != "" {
 		f, ferr := os.Open(*tracePath)
 		if ferr != nil {
@@ -165,7 +163,7 @@ func run(args []string) error {
 		}
 		defer f.Close()
 		var rerr error
-		if jobs, rerr = trace.Read(f); rerr != nil {
+		if intake.Jobs, rerr = trace.Read(f); rerr != nil {
 			return rerr
 		}
 	} else {
@@ -174,15 +172,13 @@ func run(args []string) error {
 		cfg.Duration = sc.Duration()
 		cfg.CPUJobs = sc.CPUJobs
 		cfg.GPUJobs = sc.GPUJobs
-		if cerr := cfg.Validate(); cerr != nil {
-			return cerr
-		}
-		traceCfg = &cfg
+		intake.Trace = &cfg
 	}
-	jobCount := len(jobs)
-	if traceCfg != nil {
-		jobCount = traceCfg.CPUJobs + traceCfg.GPUJobs
+	src, err := intake.Source()
+	if err != nil {
+		return err
 	}
+	jobCount := src.Total()
 
 	opts := sim.DefaultOptions()
 	opts.Cluster.Nodes = sc.Nodes
@@ -248,7 +244,7 @@ func run(args []string) error {
 	}
 
 	if *runs > 1 {
-		return runMany(*runs, *parallel, opts, jobs, traceCfg, newPolicy, *ckptDir)
+		return runMany(*runs, *parallel, opts, intake, jobCount, newPolicy, *ckptDir)
 	}
 
 	policy, err := newPolicy()
@@ -292,15 +288,7 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("resumed from    %s (t=%v)\n", path, ck.Now.Truncate(time.Second))
-	} else if traceCfg != nil {
-		src, serr := trace.NewSource(*traceCfg)
-		if serr != nil {
-			return serr
-		}
-		if simulator, err = sim.NewStreaming(opts, policy, src); err != nil {
-			return err
-		}
-	} else if simulator, err = sim.New(opts, policy, jobs); err != nil {
+	} else if simulator, err = sim.NewStreaming(opts, policy, src); err != nil {
 		return err
 	}
 	if *survivedKills > 0 {
@@ -374,13 +362,13 @@ func policyFactory(name string, opts sim.Options, noEliminator bool) (func() (sc
 	}
 }
 
-// runMany replays the trace under runs consecutive seeds (noise and fault
-// streams both advance) on a bounded worker pool, then prints one line per
-// run and the merged aggregate. Results come back in matrix order, so the
-// output is deterministic regardless of -parallel. A generated trace
-// (traceCfg non-nil) is streamed: every run builds its own source from the
-// shared config, so the sweep never materializes the jobs.
-func runMany(runs, parallel int, opts sim.Options, jobs []*job.Job, traceCfg *trace.Config, newPolicy func() (sched.Scheduler, error), ckptDir string) error {
+// runMany replays the intake spec's trace under runs consecutive seeds
+// (noise and fault streams both advance) on a bounded worker pool, then
+// prints one line per run and the merged aggregate. Results come back in
+// matrix order, so the output is deterministic regardless of -parallel.
+// Every run builds its own source from the spec, so a generated trace is
+// never materialized.
+func runMany(runs, parallel int, opts sim.Options, intake sim.RunSpec, jobsPerRun int, newPolicy func() (sched.Scheduler, error), ckptDir string) error {
 	var m runner.Matrix
 	for i := 0; i < runs; i++ {
 		o := opts.Clone()
@@ -395,13 +383,11 @@ func runMany(runs, parallel int, opts sim.Options, jobs []*job.Job, traceCfg *tr
 				return checkpoint.WriteFile(filepath.Join(sub, checkpoint.FileName(ck.Now)), ck)
 			}
 		}
-		m.Add(sim.RunSpec{
-			Name:         fmt.Sprintf("run-%d", i),
-			Options:      o,
-			Jobs:         jobs,
-			Trace:        traceCfg,
-			NewScheduler: newPolicy,
-		})
+		spec := intake
+		spec.Name = fmt.Sprintf("run-%d", i)
+		spec.Options = o
+		spec.NewScheduler = newPolicy
+		m.Add(spec)
 	}
 
 	start := time.Now()
@@ -424,10 +410,6 @@ func runMany(runs, parallel int, opts sim.Options, jobs []*job.Job, traceCfg *tr
 	merged, err := sim.MergeResults(results)
 	if err != nil {
 		return err
-	}
-	jobsPerRun := len(jobs)
-	if traceCfg != nil {
-		jobsPerRun = traceCfg.CPUJobs + traceCfg.GPUJobs
 	}
 	printMerged(merged, jobsPerRun, elapsed)
 	return nil

@@ -13,6 +13,7 @@ import (
 	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/perfmodel"
 	"github.com/coda-repro/coda/internal/sim"
+	"github.com/coda-repro/coda/internal/trace"
 )
 
 func main() {
@@ -51,7 +52,11 @@ func run() error {
 		}
 		nstart := coda.Allocator().InitialCores(j)
 
-		simulator, err := sim.New(opts, coda, []*job.Job{j})
+		src, err := trace.FromJobs([]*job.Job{j})
+		if err != nil {
+			return err
+		}
+		simulator, err := sim.NewStreaming(opts, coda, src)
 		if err != nil {
 			return err
 		}

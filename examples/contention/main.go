@@ -11,6 +11,7 @@ import (
 
 	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/job"
+	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 )
 
@@ -47,15 +48,10 @@ func runOnce(eliminator bool) (*sim.Result, error) {
 
 	cfg := core.DefaultConfig()
 	cfg.DisableEliminator = !eliminator
-	coda, err := core.New(cfg, opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
-	if err != nil {
-		return nil, err
-	}
-	simulator, err := sim.New(opts, coda, scenario())
-	if err != nil {
-		return nil, err
-	}
-	return simulator.Run()
+	spec := sim.RunSpec{Name: "contention", Options: opts, Jobs: scenario(), NewScheduler: func() (sched.Scheduler, error) {
+		return core.New(cfg, opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
+	}}
+	return spec.Run()
 }
 
 func run() error {

@@ -12,6 +12,7 @@ import (
 
 	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/job"
+	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 )
 
@@ -25,11 +26,6 @@ func run() error {
 	opts := sim.DefaultOptions()
 	opts.Cluster.Nodes = 2        // GPU nodes (IDs 0-1)
 	opts.Cluster.CPUOnlyNodes = 2 // CPU nodes (IDs 2-3)
-
-	coda, err := core.NewForCluster(core.DefaultConfig(), opts.Cluster)
-	if err != nil {
-		return err
-	}
 
 	jobs := []*job.Job{
 		{
@@ -53,11 +49,10 @@ func run() error {
 		},
 	}
 
-	simulator, err := sim.New(opts, coda, jobs)
-	if err != nil {
-		return err
-	}
-	res, err := simulator.Run()
+	spec := sim.RunSpec{Name: "generality", Options: opts, Jobs: jobs, NewScheduler: func() (sched.Scheduler, error) {
+		return core.NewForCluster(core.DefaultConfig(), opts.Cluster)
+	}}
+	res, err := spec.Run()
 	if err != nil {
 		return err
 	}

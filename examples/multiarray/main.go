@@ -11,6 +11,7 @@ import (
 
 	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/job"
+	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 )
 
@@ -29,10 +30,6 @@ func run() error {
 	cfg := core.DefaultConfig()
 	cfg.Array.ReserveCores = 8 // GPU array reserves 8 of 12 cores
 	cfg.RebalanceEvery = 0     // keep the split fixed for the demo
-	coda, err := core.New(cfg, opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
-	if err != nil {
-		return err
-	}
 
 	jobs := []*job.Job{
 		// A burst of CPU jobs: 12 cores of demand against a 4-core CPU
@@ -50,11 +47,10 @@ func run() error {
 		},
 	}
 
-	simulator, err := sim.New(opts, coda, jobs)
-	if err != nil {
-		return err
-	}
-	res, err := simulator.Run()
+	spec := sim.RunSpec{Name: "multiarray", Options: opts, Jobs: jobs, NewScheduler: func() (sched.Scheduler, error) {
+		return core.New(cfg, opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
+	}}
+	res, err := spec.Run()
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/coda-repro/coda/internal/core"
 	"github.com/coda-repro/coda/internal/job"
+	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 )
 
@@ -26,11 +27,6 @@ func run() error {
 
 	// CODA: adaptive CPU allocator + multi-array scheduler + contention
 	// eliminator.
-	coda, err := core.New(core.DefaultConfig(),
-		opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
-	if err != nil {
-		return err
-	}
 
 	// A mixed workload: training jobs that under- and over-request CPU
 	// cores, plus CPU jobs.
@@ -66,11 +62,10 @@ func run() error {
 		},
 	}
 
-	simulator, err := sim.New(opts, coda, jobs)
-	if err != nil {
-		return err
-	}
-	res, err := simulator.Run()
+	spec := sim.RunSpec{Name: "quickstart", Options: opts, Jobs: jobs, NewScheduler: func() (sched.Scheduler, error) {
+		return core.New(core.DefaultConfig(), opts.Cluster.Nodes, opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
+	}}
+	res, err := spec.Run()
 	if err != nil {
 		return err
 	}

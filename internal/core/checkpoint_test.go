@@ -17,10 +17,7 @@ func midRunScheduler(t *testing.T, cfg Config, opts sim.Options) *Scheduler {
 	t.Helper()
 	opts.Service = true
 	s := newCoda(t, cfg, opts)
-	simulator, err := sim.New(opts, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, opts, s, nil)
 	inject := func(j *job.Job) {
 		t.Helper()
 		if err := simulator.InjectArrival(j); err != nil {

@@ -149,10 +149,7 @@ func TestCODAOnHeterogeneousCluster(t *testing.T) {
 		cpuJob(2, 0, 2, 20, 2*time.Hour), // only fits a whole node's budget
 		cpuJob(3, 0, 3, 20, 2*time.Hour),
 	}
-	simulator, err := sim.New(opts, s, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, opts, s, jobs)
 	res, err := simulator.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"github.com/coda-repro/coda/internal/history"
 	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/perfmodel"
+	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 	"github.com/coda-repro/coda/internal/trace"
 )
@@ -62,13 +63,24 @@ func hogJob(id job.ID, arrival time.Duration, cores int, bw float64, work time.D
 	}
 }
 
-func runCoda(t *testing.T, cfg Config, opts sim.Options, jobs []*job.Job) (*sim.Result, *Scheduler) {
+// newSim builds a simulator that replays a hand-built trace.
+func newSim(t *testing.T, opts sim.Options, s sched.Scheduler, jobs []*job.Job) *sim.Simulator {
 	t.Helper()
-	s := newCoda(t, cfg, opts)
-	simulator, err := sim.New(opts, s, jobs)
+	src, err := trace.FromJobs(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	simulator, err := sim.NewStreaming(opts, s, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return simulator
+}
+
+func runCoda(t *testing.T, cfg Config, opts sim.Options, jobs []*job.Job) (*sim.Result, *Scheduler) {
+	t.Helper()
+	s := newCoda(t, cfg, opts)
+	simulator := newSim(t, opts, s, jobs)
 	res, err := simulator.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -139,10 +151,7 @@ func TestTuningOverheadWithinFourSteps(t *testing.T) {
 	for _, name := range perfmodel.Names() {
 		j := gpuJob(1, 0, name, 2, 1, 1, 2*time.Hour)
 		s := newCoda(t, DefaultConfig(), testOptions())
-		simulator, err := sim.New(testOptions(), s, []*job.Job{j})
-		if err != nil {
-			t.Fatal(err)
-		}
+		simulator := newSim(t, testOptions(), s, []*job.Job{j})
 		if _, err := simulator.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -460,10 +469,7 @@ func TestLargeJobPrefersFourGNodes(t *testing.T) {
 	opts.Cluster.Nodes = 4 // nodes 0 = 4G sub-array (fraction 0.3 -> 1 node)
 	s := newCoda(t, DefaultConfig(), opts)
 	jobs := []*job.Job{gpuJob(1, 0, "transformer", 2, 4, 1, time.Hour)}
-	simulator, err := sim.New(opts, s, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, opts, s, jobs)
 	if s.Arrays().fourGNodes != 1 {
 		t.Fatalf("4-GPU sub-array holds %d nodes, want 1 (node 0)", s.Arrays().fourGNodes)
 	}

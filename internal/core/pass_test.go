@@ -9,7 +9,6 @@ import (
 	"github.com/coda-repro/coda/internal/history"
 	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/membw"
-	"github.com/coda-repro/coda/internal/sim"
 )
 
 // TestPreemptedCPUJobRestartedInSamePass: a CPU job preempted in drainGPU
@@ -39,10 +38,7 @@ func TestPreemptedCPUJobRestartedInSamePass(t *testing.T) {
 		}
 	}
 	s.log, s.alloc.log = log, log
-	simulator, err := sim.New(opts, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, opts, s, nil)
 	inject := func(j *job.Job) {
 		t.Helper()
 		if err := simulator.InjectArrival(j); err != nil {

@@ -13,6 +13,7 @@ import (
 	"github.com/coda-repro/coda/internal/metrics"
 	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
+	"github.com/coda-repro/coda/internal/trace"
 )
 
 // Config assembles a Machine: the engine options, the durable stores, and a
@@ -25,8 +26,6 @@ type Config struct {
 	// construct identically every call — scheduler state is restored from
 	// checkpoints, never carried over.
 	NewScheduler func() (sched.Scheduler, error)
-	// Jobs optionally preloads a trace (arrivals at their recorded times).
-	Jobs []*job.Job
 	// Log is the write-ahead request log.
 	Log wal.Log
 	// Store persists machine checkpoints.
@@ -77,16 +76,15 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	opts := cfg.Options
 	opts.Service = true
-	s, err := sim.New(opts, scheduler, cfg.Jobs)
+	src, err := trace.FromJobs(nil)
+	if err != nil {
+		return nil, err
+	}
+	s, err := sim.NewStreaming(opts, scheduler, src)
 	if err != nil {
 		return nil, err
 	}
 	m := &Machine{cfg: cfg, sim: s}
-	for _, j := range cfg.Jobs {
-		if int64(j.ID) > m.nextJobID {
-			m.nextJobID = int64(j.ID)
-		}
-	}
 	if err := s.RunUntil(0); err != nil {
 		return nil, err
 	}

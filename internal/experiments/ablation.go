@@ -9,6 +9,7 @@ import (
 	"github.com/coda-repro/coda/internal/perfmodel"
 	"github.com/coda-repro/coda/internal/runner"
 	"github.com/coda-repro/coda/internal/sim"
+	"github.com/coda-repro/coda/internal/trace"
 )
 
 // AblationResult compares full CODA against one disabled design choice.
@@ -79,7 +80,7 @@ type ThresholdPoint struct {
 // EliminatorThresholdMatrix declares the threshold sweep: one cell per
 // threshold, all replaying the same hog-heavy trace.
 func EliminatorThresholdMatrix(sc Scale, thresholds []float64) (*runner.Matrix, error) {
-	jobs, err := hogHeavyTrace(sc)
+	tc, err := hogHeavyTrace(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +93,7 @@ func EliminatorThresholdMatrix(sc Scale, thresholds []float64) (*runner.Matrix, 
 		m.Add(sim.RunSpec{
 			Name:         fmt.Sprintf("threshold=%g", th),
 			Options:      opts,
-			Jobs:         jobs,
+			Trace:        &tc,
 			NewScheduler: newCODA(cfg, opts.Cluster),
 		})
 	}
@@ -123,12 +124,12 @@ func AblationEliminatorThreshold(sc Scale, thresholds []float64) ([]ThresholdPoi
 	return pts, nil
 }
 
-// hogHeavyTrace generates the scale's trace with 5% bandwidth hogs (10x
+// hogHeavyTrace is the scale's trace config with 5% bandwidth hogs (10x
 // the paper's density) so contention effects are measurable at any scale.
-func hogHeavyTrace(sc Scale) ([]*job.Job, error) {
-	cfg := sc.traceConfig()
-	cfg.HogFraction = 0.05
-	return traceGenerate(cfg)
+func hogHeavyTrace(sc Scale) (trace.Config, error) {
+	tc, err := sc.traceConfig()
+	tc.HogFraction = 0.05
+	return tc, err
 }
 
 // NstartAblationResult compares history-seeded against fixed-seed Nstart.
@@ -172,11 +173,7 @@ func AblationNstartSeeding(seed int64) (NstartAblationResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		simulator, err := sim.New(opts, coda, makeJobs())
-		if err != nil {
-			return 0, err
-		}
-		if _, err := simulator.Run(); err != nil {
+		if _, err := replay(opts, coda, makeJobs()); err != nil {
 			return 0, err
 		}
 		// Average the later jobs' step counts (job 1 has no history either
@@ -214,11 +211,7 @@ func AblationNstartSeeding(seed int64) (NstartAblationResult, error) {
 		}
 		o := opts
 		o.Seed = seed + int64(i)
-		simulator, err := sim.New(o, coda, []*job.Job{j})
-		if err != nil {
-			return NstartAblationResult{}, err
-		}
-		if _, err := simulator.Run(); err != nil {
+		if _, err := replay(o, coda, []*job.Job{j}); err != nil {
 			return NstartAblationResult{}, err
 		}
 		if steps, ok := coda.Allocator().ProfileSteps(1); ok {

@@ -32,10 +32,10 @@ const benchMaxJobStats = 10_000
 // placement-queries/sec. The trace is never materialized — the spec
 // carries the trace config and each run builds its own lazy source.
 func BenchSpec(sc Scale, scheduler string, invariants bool) (sim.RunSpec, error) {
-	if err := sc.Validate(); err != nil {
+	cfg, err := sc.traceConfig()
+	if err != nil {
 		return sim.RunSpec{}, err
 	}
-	cfg := sc.traceConfig()
 	opts := sc.simOptions()
 	opts.Invariants = invariants
 	if invariants {
@@ -71,10 +71,10 @@ func BenchSpec(sc Scale, scheduler string, invariants bool) (sim.RunSpec, error)
 // running this spec at growing job counts with a fixed arrival rate and
 // comparing retained heap per job.
 func MemGateSpec(sc Scale) (sim.RunSpec, error) {
-	if err := sc.Validate(); err != nil {
+	cfg, err := sc.traceConfig()
+	if err != nil {
 		return sim.RunSpec{}, err
 	}
-	cfg := sc.traceConfig()
 	opts := sc.simOptions()
 	opts.MaxJobStats = 2000
 	opts.CompactCDFs = true

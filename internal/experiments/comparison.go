@@ -60,18 +60,18 @@ type Comparison struct {
 
 // ComparisonMatrix declares the headline three-scheduler replay for one
 // scale: the same trace and simulation options under FIFO, DRF and CODA,
-// in that cell order. Each cell deep-copies the trace on Add, so the runs
-// share nothing.
+// in that cell order. Each cell streams its own source from the trace
+// config, so the runs share nothing.
 func ComparisonMatrix(sc Scale) (*runner.Matrix, error) {
-	jobs, err := sc.generate()
+	tc, err := sc.traceConfig()
 	if err != nil {
 		return nil, err
 	}
 	opts := sc.simOptions()
 	m := &runner.Matrix{}
-	m.Add(sim.RunSpec{Name: "fifo", Options: opts, Jobs: jobs, NewScheduler: newFIFO()})
-	m.Add(sim.RunSpec{Name: "drf", Options: opts, Jobs: jobs, NewScheduler: newDRF(opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "coda", Options: opts, Jobs: jobs, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "fifo", Options: opts, Trace: &tc, NewScheduler: newFIFO()})
+	m.Add(sim.RunSpec{Name: "drf", Options: opts, Trace: &tc, NewScheduler: newDRF(opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "coda", Options: opts, Trace: &tc, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
 	return m, nil
 }
 
@@ -114,15 +114,15 @@ func MultiSeedComparisonMatrix(sc Scale, seeds []int64) (*runner.Matrix, error) 
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("experiments: multi-seed comparison needs at least one seed")
 	}
-	jobs, err := sc.generate()
+	tc, err := sc.traceConfig()
 	if err != nil {
 		return nil, err
 	}
 	opts := sc.simOptions()
 	m := &runner.Matrix{}
-	m.AddSeeds(sim.RunSpec{Name: "fifo", Options: opts, Jobs: jobs, NewScheduler: newFIFO()}, seeds...)
-	m.AddSeeds(sim.RunSpec{Name: "drf", Options: opts, Jobs: jobs, NewScheduler: newDRF(opts.Cluster)}, seeds...)
-	m.AddSeeds(sim.RunSpec{Name: "coda", Options: opts, Jobs: jobs, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)}, seeds...)
+	m.AddSeeds(sim.RunSpec{Name: "fifo", Options: opts, Trace: &tc, NewScheduler: newFIFO()}, seeds...)
+	m.AddSeeds(sim.RunSpec{Name: "drf", Options: opts, Trace: &tc, NewScheduler: newDRF(opts.Cluster)}, seeds...)
+	m.AddSeeds(sim.RunSpec{Name: "coda", Options: opts, Trace: &tc, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)}, seeds...)
 	return m, nil
 }
 
@@ -158,11 +158,11 @@ func RunMultiSeedComparison(sc Scale, seeds []int64) (*MultiSeedComparison, erro
 // ablations). Not cached. The run executes on the calling goroutine — a
 // single cell needs no pool.
 func RunCODAVariant(sc Scale, cfg core.Config) (*sim.Result, error) {
-	jobs, err := sc.generate()
+	tc, err := sc.traceConfig()
 	if err != nil {
 		return nil, err
 	}
 	opts := sc.simOptions()
-	spec := sim.RunSpec{Name: "coda-variant", Options: opts, Jobs: jobs, NewScheduler: newCODA(cfg, opts.Cluster)}
+	spec := sim.RunSpec{Name: "coda-variant", Options: opts, Trace: &tc, NewScheduler: newCODA(cfg, opts.Cluster)}
 	return spec.Run()
 }

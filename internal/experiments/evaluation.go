@@ -276,19 +276,19 @@ type Sec6EResult struct {
 func Sec6EMatrix(sc Scale) (*runner.Matrix, error) {
 	offCfg := core.DefaultConfig()
 	offCfg.DisableEliminator = true
-	jobs, err := sc.generate()
+	tc, err := sc.traceConfig()
 	if err != nil {
 		return nil, err
 	}
-	stressJobs, err := hogHeavyTrace(sc)
+	stress, err := hogHeavyTrace(sc)
 	if err != nil {
 		return nil, err
 	}
 	opts := sc.simOptions()
 	m := &runner.Matrix{}
-	m.Add(sim.RunSpec{Name: "eliminator-off", Options: opts, Jobs: jobs, NewScheduler: newCODA(offCfg, opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "stress-on", Options: opts, Jobs: stressJobs, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "stress-off", Options: opts, Jobs: stressJobs, NewScheduler: newCODA(offCfg, opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "eliminator-off", Options: opts, Trace: &tc, NewScheduler: newCODA(offCfg, opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "stress-on", Options: opts, Trace: &stress, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "stress-off", Options: opts, Trace: &stress, NewScheduler: newCODA(offCfg, opts.Cluster)})
 	return m, nil
 }
 
@@ -373,11 +373,7 @@ func Table2(seed int64) ([]Table2Row, error) {
 			Request: job.Request{CPUCores: 2, GPUs: 1, Nodes: 1},
 			Work:    2 * time.Hour,
 		}
-		simulator, err := sim.New(opts, coda, []*job.Job{j})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := simulator.Run(); err != nil {
+		if _, err := replay(opts, coda, []*job.Job{j}); err != nil {
 			return nil, err
 		}
 		steps, ok := coda.Allocator().ProfileSteps(1)

@@ -26,16 +26,16 @@ func GeneralityMatrix(sc Scale, cpuOnlyNodes int) (*runner.Matrix, error) {
 	if cpuOnlyNodes < 0 {
 		return nil, fmt.Errorf("experiments: negative cpu-only nodes %d", cpuOnlyNodes)
 	}
-	jobs, err := sc.generate()
+	tc, err := sc.traceConfig()
 	if err != nil {
 		return nil, err
 	}
 	opts := sc.simOptions()
 	opts.Cluster.CPUOnlyNodes = cpuOnlyNodes
 	m := &runner.Matrix{}
-	m.Add(sim.RunSpec{Name: "fifo", Options: opts, Jobs: jobs, NewScheduler: newFIFO()})
-	m.Add(sim.RunSpec{Name: "drf", Options: opts, Jobs: jobs, NewScheduler: newDRF(opts.Cluster)})
-	m.Add(sim.RunSpec{Name: "coda", Options: opts, Jobs: jobs, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "fifo", Options: opts, Trace: &tc, NewScheduler: newFIFO()})
+	m.Add(sim.RunSpec{Name: "drf", Options: opts, Trace: &tc, NewScheduler: newDRF(opts.Cluster)})
+	m.Add(sim.RunSpec{Name: "coda", Options: opts, Trace: &tc, NewScheduler: newCODA(core.DefaultConfig(), opts.Cluster)})
 	return m, nil
 }
 

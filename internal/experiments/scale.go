@@ -15,6 +15,7 @@ import (
 
 	"github.com/coda-repro/coda/internal/cluster"
 	"github.com/coda-repro/coda/internal/job"
+	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 	"github.com/coda-repro/coda/internal/trace"
 )
@@ -78,14 +79,40 @@ func (s Scale) Duration() time.Duration {
 	return time.Duration(s.Days * float64(24) * float64(time.Hour))
 }
 
-// traceConfig builds the generator configuration.
-func (s Scale) traceConfig() trace.Config {
+// traceConfig validates the scale and builds its generator configuration.
+func (s Scale) traceConfig() (trace.Config, error) {
+	if err := s.Validate(); err != nil {
+		return trace.Config{}, err
+	}
 	cfg := trace.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.Duration = s.Duration()
 	cfg.CPUJobs = s.CPUJobs
 	cfg.GPUJobs = s.GPUJobs
-	return cfg
+	return cfg, nil
+}
+
+// source validates the scale and positions a fresh generator over its
+// trace.
+func (s Scale) source() (*trace.Source, error) {
+	tc, err := s.traceConfig()
+	if err != nil {
+		return nil, err
+	}
+	return trace.NewSource(tc)
+}
+
+// replay runs a hand-built trace to completion under scheduler.
+func replay(opts sim.Options, scheduler sched.Scheduler, jobs []*job.Job) (*sim.Result, error) {
+	src, err := trace.FromJobs(jobs)
+	if err != nil {
+		return nil, err
+	}
+	simulator, err := sim.NewStreaming(opts, scheduler, src)
+	if err != nil {
+		return nil, err
+	}
+	return simulator.Run()
 }
 
 // clusterConfig builds the cluster shape.
@@ -105,17 +132,4 @@ func (s Scale) simOptions() sim.Options {
 	// under heavy slowdown.
 	opts.MaxVirtualTime = s.Duration() + 4*24*time.Hour
 	return opts
-}
-
-// generate builds the trace for this scale.
-func (s Scale) generate() ([]*job.Job, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return trace.Generate(s.traceConfig())
-}
-
-// traceGenerate is a seam for experiments that tweak the trace config.
-func traceGenerate(cfg trace.Config) ([]*job.Job, error) {
-	return trace.Generate(cfg)
 }

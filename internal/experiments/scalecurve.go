@@ -30,10 +30,10 @@ func ScaleCurveMatrix(base Scale, nodeCounts []int) (*runner.Matrix, error) {
 	// The trace does not depend on the cluster shape: every cell streams
 	// the same seeded config, so the sweep never materializes the jobs
 	// even once.
-	if err := base.Validate(); err != nil {
+	cfg, err := base.traceConfig()
+	if err != nil {
 		return nil, err
 	}
-	cfg := base.traceConfig()
 	m := &runner.Matrix{}
 	for _, nodes := range nodeCounts {
 		if nodes <= 0 {

@@ -27,17 +27,15 @@ func StaticBaseline(sc Scale) (StaticResult, error) {
 	if err != nil {
 		return StaticResult{}, err
 	}
-	jobs, err := sc.generate()
+	tc, err := sc.traceConfig()
 	if err != nil {
 		return StaticResult{}, err
 	}
 	opts := sc.simOptions()
-	s := sched.NewStatic(opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode)
-	simulator, err := sim.New(opts, s, jobs)
-	if err != nil {
-		return StaticResult{}, err
-	}
-	res, err := simulator.Run()
+	spec := sim.RunSpec{Name: "static", Options: opts, Trace: &tc, NewScheduler: func() (sched.Scheduler, error) {
+		return sched.NewStatic(opts.Cluster.CoresPerNode, opts.Cluster.GPUsPerNode), nil
+	}}
+	res, err := spec.Run()
 	if err != nil {
 		return StaticResult{}, err
 	}

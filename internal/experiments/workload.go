@@ -5,7 +5,6 @@ import (
 
 	"github.com/coda-repro/coda/internal/job"
 	"github.com/coda-repro/coda/internal/metrics"
-	"github.com/coda-repro/coda/internal/sched"
 	"github.com/coda-repro/coda/internal/sim"
 	"github.com/coda-repro/coda/internal/trace"
 )
@@ -29,16 +28,12 @@ func Fig1(sc Scale) (*Fig1Result, error) {
 	week.Days = 7
 	week.CPUJobs = int(float64(sc.CPUJobs) * 7 / sc.Days)
 	week.GPUJobs = int(float64(sc.GPUJobs) * 7 / sc.Days)
-	jobs, err := week.generate()
+	tc, err := week.traceConfig()
 	if err != nil {
 		return nil, err
 	}
-	opts := week.simOptions()
-	simulator, err := sim.New(opts, sched.NewFIFO(), jobs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := simulator.Run()
+	spec := sim.RunSpec{Name: "fig1", Options: week.simOptions(), Trace: &tc, NewScheduler: newFIFO()}
+	res, err := spec.Run()
 	if err != nil {
 		return nil, err
 	}
@@ -104,12 +99,16 @@ type Fig2Result struct {
 // Fig2 reproduces Fig. 2: the trace's job-type and request statistics plus
 // the production (FIFO) queueing-delay distribution.
 func Fig2(sc Scale) (*Fig2Result, error) {
-	jobs, err := sc.generate()
+	src, err := sc.source()
+	if err != nil {
+		return nil, err
+	}
+	stats, err := trace.SummarizeSource(src)
 	if err != nil {
 		return nil, err
 	}
 	out := &Fig2Result{
-		Stats:             trace.Summarize(jobs),
+		Stats:             stats,
 		PaperGPUOver3Min:  0.481,
 		PaperGPUOver10Min: 0.413,
 		PaperReq12:        0.761,
@@ -127,11 +126,9 @@ func Fig2(sc Scale) (*Fig2Result, error) {
 // HourlyCPUArrivals exposes Fig. 1's arrival pattern straight from the
 // trace (used by cmd/coda-trace).
 func HourlyCPUArrivals(sc Scale) ([]int, error) {
-	jobs, err := sc.generate()
+	src, err := sc.source()
 	if err != nil {
 		return nil, err
 	}
-	return trace.HourlyArrivals(jobs, sc.Duration(), func(j *job.Job) bool {
-		return !j.IsGPU()
-	}), nil
+	return trace.HourlyArrivalsSource(src, func(j *job.Job) bool { return !j.IsGPU() })
 }

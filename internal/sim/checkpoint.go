@@ -111,10 +111,11 @@ type Checkpoint struct {
 	LastArrival  time.Duration
 	StallCount   int
 
-	// Trace is the streaming-intake cursor (nil for materialized-slice
-	// runs): trace config, per-stream RNG draw counts and order-statistic
-	// state — everything trace.Resume needs to regenerate the one in-queue
-	// arrival (which Events deliberately omits) and the rest of the stream.
+	// Trace is the intake cursor: everything trace.Resume needs to
+	// regenerate the source's one in-queue arrival (which Events
+	// deliberately omits) and the rest of the trace. It is nil only in
+	// checkpoints written before the engine had a single intake path,
+	// whose trace arrivals all sit in Events.
 	Trace *trace.Cursor `json:",omitempty"`
 
 	ChaosOn     bool
@@ -203,17 +204,16 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 		Scheduler:     schedState,
 	}
 	ck.Options.CheckpointSink = nil
-	if s.source != nil {
-		// Copy the cursor: the checkpoint must not alias the live field,
-		// which queueNextArrival overwrites at the next arrival.
-		cur := s.sourceCursor
-		ck.Trace = &cur
-	}
+	// Copy the cursor: the checkpoint must not alias the live field, which
+	// queueNextArrival overwrites at the next arrival.
+	cur := s.sourceCursor
+	ck.Trace = &cur
 
 	// Canonicalize the pending events to sorted (at, seq) order — the heap's
-	// internal layout must not leak into the encoding. A streamed run's
-	// single in-queue arrival is skipped: Resume regenerates it (job and
-	// sequence number both) from the Trace cursor.
+	// internal layout must not leak into the encoding. The source's single
+	// in-queue arrival (the one negative seq) is skipped: Resume regenerates
+	// it, job and sequence number both, from the Trace cursor. A service's
+	// injected arrivals are ordinary events and are kept.
 	evs := append([]*event(nil), s.events...)
 	sort.Slice(evs, func(i, j int) bool {
 		if evs[i].at != evs[j].at {
@@ -223,7 +223,7 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 	})
 	ck.Events = make([]EventState, 0, len(evs))
 	for _, e := range evs {
-		if s.source != nil && e.kind == evArrival {
+		if e.seq < 0 {
 			continue
 		}
 		es := EventState{
@@ -457,8 +457,8 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 		kind := eventKind(es.Kind)
 		switch kind {
 		case evArrival:
-			if ck.Trace != nil {
-				return nil, fmt.Errorf("sim: resume: streamed checkpoint carries materialized arrival event %d", i)
+			if es.Seq < 0 {
+				return nil, fmt.Errorf("sim: resume: checkpoint carries the source's queued arrival as event %d", i)
 			}
 			if es.Job == nil {
 				return nil, fmt.Errorf("sim: resume: arrival event %d carries no job", i)
@@ -482,20 +482,23 @@ func Resume(ck *Checkpoint, scheduler sched.Scheduler, sink CheckpointSink) (*Si
 		heap.Push(&s.events, e)
 	}
 
+	// A checkpoint without a cursor predates the single intake path: its
+	// trace arrivals are all events already, so it resumes from an empty
+	// replay.
+	src, err := trace.FromJobs(nil)
 	if ck.Trace != nil {
-		src, err := trace.Resume(*ck.Trace)
-		if err != nil {
-			return nil, fmt.Errorf("sim: resume trace source: %w", err)
-		}
-		s.source = src
-		s.totalJobs = src.Total()
-		// Regenerate the arrival the checkpoint skipped: the cursor was
-		// captured immediately before that job was drawn, so the first
-		// draw of the resumed source is exactly it.
-		s.queueNextArrival()
-		if s.intakeErr != nil {
-			return nil, fmt.Errorf("sim: resume: %w", s.intakeErr)
-		}
+		src, err = trace.Resume(*ck.Trace)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sim: resume trace source: %w", err)
+	}
+	s.source = src
+	// Regenerate the arrival the checkpoint skipped: the cursor was captured
+	// immediately before that job was drawn, so the first draw of the
+	// resumed source is exactly it.
+	s.queueNextArrival()
+	if s.intakeErr != nil {
+		return nil, fmt.Errorf("sim: resume: %w", s.intakeErr)
 	}
 
 	if err := ckp.RestoreCheckpoint(ck.Scheduler); err != nil {

@@ -72,10 +72,7 @@ func TestResumeEquivalence(t *testing.T) {
 		return nil
 	}
 
-	s, err := New(opts, codaScheduler(t, opts), ckptWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, opts, codaScheduler(t, opts), ckptWorkload())
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +126,7 @@ func TestResumeEquivalenceFIFO(t *testing.T) {
 		snaps = append(snaps, data)
 		return nil
 	}
-	s, err := New(opts, sched.NewFIFO(), ckptWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, opts, sched.NewFIFO(), ckptWorkload())
 	res, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -184,9 +178,7 @@ func runWithRecovery(t *testing.T, opts Options, mkSched func() sched.Scheduler)
 		var s *Simulator
 		var err error
 		if latest == nil {
-			if s, err = New(opts, mkSched(), ckptWorkload()); err != nil {
-				t.Fatal(err)
-			}
+			s = newSim(t, opts, mkSched(), ckptWorkload())
 		} else {
 			var ck Checkpoint
 			if err := checkpoint.Decode(latest, &ck); err != nil {
@@ -282,10 +274,7 @@ func TestResumeRejectsBadCheckpoints(t *testing.T) {
 		}
 		return nil
 	}
-	s, err := New(opts, sched.NewFIFO(), ckptWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, opts, sched.NewFIFO(), ckptWorkload())
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
 	}

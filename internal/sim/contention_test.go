@@ -68,10 +68,7 @@ func (r *resizeBandwidthScheduler) Tick() {
 func TestResizeUpdatesBandwidthDemand(t *testing.T) {
 	rs := &resizeBandwidthScheduler{envScheduler: envScheduler{auto: true}}
 	jobs := []*job.Job{gpuJob(1, 0, "alexnet", 6, 1, 2*time.Hour)}
-	simulator, err := New(testOptions(), rs, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, testOptions(), rs, jobs)
 	if _, err := simulator.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +109,7 @@ func TestUnthrottleRestoresSpeed(t *testing.T) {
 		return []*job.Job{hogJob(2, 0, 16, 80, time.Hour)}
 	}
 	cycle := &throttleCycleScheduler{envScheduler: envScheduler{auto: true}}
-	simulator, err := New(opts, cycle, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, opts, cycle, mk())
 	released, err := simulator.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -127,10 +121,7 @@ func TestUnthrottleRestoresSpeed(t *testing.T) {
 	}
 
 	hold := &throttleOnTick{envScheduler: envScheduler{auto: true}}
-	simulator, err = New(opts, hold, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator = newSim(t, opts, hold, mk())
 	heldRes, err := simulator.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -148,10 +139,7 @@ func TestCPUJobHalvedCoresRunsSlower(t *testing.T) {
 		[]*job.Job{cpuJob(1, 0, 8, time.Hour)})
 
 	halver := &resizeOnTick{envScheduler: envScheduler{auto: true}, target: 1, cores: 4}
-	simulator, err := New(testOptions(), halver, []*job.Job{cpuJob(1, 0, 8, time.Hour)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, testOptions(), halver, []*job.Job{cpuJob(1, 0, 8, time.Hour)})
 	halved, err := simulator.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -60,10 +60,7 @@ func TestDeltaCheckDetectsTouchedCorruption(t *testing.T) {
 	opts := testOptions()
 	opts.InvariantsEvery = 1 << 30 // keep the full audit out of the way
 	t.Run("node cache corruption", func(t *testing.T) {
-		s, err := New(opts, sched.NewFIFO(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newSim(t, opts, sched.NewFIFO(), nil)
 		// Drain node 0 so it lands in the touched journal, then corrupt its
 		// cpu-core cache: the delta check must cross-check it.
 		if err := s.cluster.SetNodeState(0, cluster.NodeDraining); err != nil {
@@ -75,10 +72,7 @@ func TestDeltaCheckDetectsTouchedCorruption(t *testing.T) {
 		}
 	})
 	t.Run("job state corruption", func(t *testing.T) {
-		s, err := New(opts, sched.NewFIFO(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newSim(t, opts, sched.NewFIFO(), nil)
 		// A job that is pending and running at once, journaled as touched.
 		j := cpuJob(1, 0, 2, time.Hour)
 		s.pending[j.ID] = j
@@ -89,10 +83,7 @@ func TestDeltaCheckDetectsTouchedCorruption(t *testing.T) {
 		}
 	})
 	t.Run("untouched corruption caught by cadence audit", func(t *testing.T) {
-		s, err := New(opts, sched.NewFIFO(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := newSim(t, opts, sched.NewFIFO(), nil)
 		// Corrupt a node WITHOUT touching it: the delta check cannot see it
 		// (that is the bargain), but the cadence audit must.
 		s.cpuCoresOn[1] = 3

@@ -12,10 +12,7 @@ func TestHeterogeneousClusterShape(t *testing.T) {
 	opts := testOptions()
 	opts.Cluster.Nodes = 2
 	opts.Cluster.CPUOnlyNodes = 3
-	simulator, err := New(opts, sched.NewFIFO(), []*job.Job{cpuJob(1, 0, 2, time.Minute)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, opts, sched.NewFIFO(), []*job.Job{cpuJob(1, 0, 2, time.Minute)})
 	c := simulator.Cluster()
 	if c.Size() != 5 {
 		t.Fatalf("Size = %d, want 5", c.Size())
@@ -47,10 +44,7 @@ func TestHeterogeneousGPUJobNeverOnCPUNode(t *testing.T) {
 	}
 	// Track placements via a scheduler that records them.
 	rec := &placementRecorder{}
-	simulator, err := New(opts, rec, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, opts, rec, jobs)
 	if _, err := simulator.Run(); err != nil {
 		t.Fatal(err)
 	}

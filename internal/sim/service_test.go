@@ -20,10 +20,7 @@ func serviceOptions() Options {
 
 func newService(t *testing.T, opts Options, s sched.Scheduler) *Simulator {
 	t.Helper()
-	simulator, err := New(opts, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, opts, s, nil)
 	return simulator
 }
 
@@ -45,10 +42,7 @@ func mustInject(t *testing.T, s *Simulator, j *job.Job) {
 // entry point: a simulator built without Options.Service refuses them all
 // with ErrNotService instead of silently corrupting a batch run.
 func TestServiceCallsRejectBatchSimulator(t *testing.T) {
-	s, err := New(testOptions(), sched.NewFIFO(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, testOptions(), sched.NewFIFO(), nil)
 	if err := s.RunUntil(time.Minute); !errors.Is(err, ErrNotService) {
 		t.Errorf("RunUntil on batch sim: err = %v, want ErrNotService", err)
 	}

@@ -272,15 +272,13 @@ type Simulator struct {
 	events eventHeap
 	seq    int64
 
-	// Streaming intake (nil source means the materialized-slice path).
-	// Exactly one arrival event sits in the queue at a time; handleArrival
-	// pulls the next one from the source on demand. sourceCursor is the
-	// source state captured immediately before drawing the queued arrival,
-	// so a checkpoint can regenerate it; totalJobs anchors the arrival
-	// sequence numbers; intakeErr latches a mid-run generation failure.
+	// Intake. Exactly one arrival event from the source sits in the queue
+	// at a time; handleArrival pulls the next one on demand. sourceCursor
+	// is the source state captured immediately before drawing the queued
+	// arrival, so a checkpoint can regenerate it; intakeErr latches a
+	// mid-run generation failure.
 	source       *trace.Source
 	sourceCursor trace.Cursor
-	totalJobs    int
 	intakeErr    error
 
 	// rngDraws counts measurement-noise draws so a resumed run can re-seed
@@ -370,56 +368,8 @@ type Simulator struct {
 	results *Result
 }
 
-// newSimulator builds the trace-independent core shared by New (materialized
-// slice) and NewStreaming (lazy source): cluster, monitor, queue, result
-// containers. The caller seeds the intake path, arms chaos and binds the
-// scheduler.
-func newSimulator(opts Options, scheduler sched.Scheduler) (*Simulator, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	if scheduler == nil {
-		return nil, errors.New("sim: scheduler is nil")
-	}
-	c, err := cluster.New(opts.Cluster)
-	if err != nil {
-		return nil, err
-	}
-	mon, err := membw.NewMonitor(opts.Cluster.TotalNodes(), opts.Cluster.BandwidthGBs, opts.MBASupported)
-	if err != nil {
-		return nil, err
-	}
-	// Seal the simulator's copy of the options: the fault plan's slice must
-	// not alias the caller's, or editing a reused spec would rewrite this
-	// run's schedule.
-	opts = opts.Clone()
-	s := &Simulator{
-		opts:        opts,
-		cluster:     c,
-		monitor:     mon,
-		scheduler:   scheduler,
-		rng:         rand.New(rand.NewSource(opts.Seed)),
-		pending:     make(map[job.ID]*job.Job),
-		running:     make(map[job.ID]*runningJob),
-		startedOnce: make(map[job.ID]bool),
-		pcieLoad:    make([]float64, opts.Cluster.TotalNodes()),
-		cpuCoresOn:  make([]int, opts.Cluster.TotalNodes()),
-		refreshSeen: make(map[job.ID]bool),
-		results:     newResult(scheduler.Name(), opts.CompactCDFs),
-	}
-	if opts.CheckpointEvery > 0 {
-		s.nextCheckpointAt = opts.CheckpointEvery
-	}
-	if opts.MaxVirtualTime > 0 && opts.SampleInterval > 0 {
-		samples := int(opts.MaxVirtualTime/opts.SampleInterval) + 2
-		s.results.growSeries(samples)
-	}
-	return s, nil
-}
-
 // armChaos initializes fault-injection state and queues the compiled fault
-// schedule. It must run after the intake path has been seeded so fault
-// events sort after coincident arrivals in both intake modes.
+// schedule.
 func (s *Simulator) armChaos() error {
 	opts := s.opts
 	// Service mode always initializes chaos state even with an empty plan:
@@ -447,50 +397,13 @@ func (s *Simulator) armChaos() error {
 	return nil
 }
 
-// New builds a simulator for the scheduler and a fully materialized trace.
-func New(opts Options, scheduler sched.Scheduler, jobs []*job.Job) (*Simulator, error) {
-	s, err := newSimulator(opts, scheduler)
-	if err != nil {
-		return nil, err
-	}
-	s.totalJobs = len(jobs)
-	gpuJobs, cpuJobs := 0, 0
-	for _, j := range jobs {
-		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		s.pushEvent(event{at: j.Arrival, kind: evArrival, job: j})
-		if j.Arrival > s.lastArrival {
-			s.lastArrival = j.Arrival
-		}
-		s.arrivalsLeft++
-		if j.IsGPU() {
-			gpuJobs++
-		} else {
-			cpuJobs++
-		}
-	}
-	// Pre-size the trace-proportional metric storage so month-scale runs
-	// never grow it mid-flight.
-	s.results.GPUQueue.Grow(gpuJobs)
-	s.results.CPUQueue.Grow(cpuJobs)
-	s.admitted = s.arrivalsLeft
-	if err := s.armChaos(); err != nil {
-		return nil, err
-	}
-	s.results.LastArrival = s.lastArrival
-	scheduler.Bind(s)
-	return s, nil
-}
-
 // NewStreaming builds a simulator that pulls its trace lazily from src:
 // exactly one pending arrival event exists at any moment, so intake memory
 // is O(1) in the job count. The source must be freshly constructed (nothing
 // drained); the simulator takes ownership and drains it as the run advances.
-//
-// At identical Options and trace config, a streaming run's results are
-// byte-identical (per DumpResult) to a materialized New run over
-// trace.Generate of the same config.
+// It is the engine's only constructor: a generated trace streams from
+// trace.NewSource, a hand-built or recorded one replays through
+// trace.FromJobs, and a service starts from trace.FromJobs(nil).
 func NewStreaming(opts Options, scheduler sched.Scheduler, src *trace.Source) (*Simulator, error) {
 	if src == nil {
 		return nil, errors.New("sim: streaming trace source is nil")
@@ -499,17 +412,56 @@ func NewStreaming(opts Options, scheduler sched.Scheduler, src *trace.Source) (*
 		return nil, fmt.Errorf("sim: streaming trace source already drained %d of %d jobs",
 			src.Total()-src.Remaining(), src.Total())
 	}
-	s, err := newSimulator(opts, scheduler)
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if scheduler == nil {
+		return nil, errors.New("sim: scheduler is nil")
+	}
+	c, err := cluster.New(opts.Cluster)
 	if err != nil {
 		return nil, err
 	}
-	s.source = src
-	s.totalJobs = src.Total()
-	s.arrivalsLeft = s.totalJobs
-	s.admitted = s.totalJobs
+	mon, err := membw.NewMonitor(opts.Cluster.TotalNodes(), opts.Cluster.BandwidthGBs, opts.MBASupported)
+	if err != nil {
+		return nil, err
+	}
+	// Seal the simulator's copy of the options: the fault plan's slice must
+	// not alias the caller's, or editing a reused spec would rewrite this
+	// run's schedule.
+	opts = opts.Clone()
+	s := &Simulator{
+		opts:         opts,
+		cluster:      c,
+		monitor:      mon,
+		scheduler:    scheduler,
+		rng:          rand.New(rand.NewSource(opts.Seed)),
+		source:       src,
+		arrivalsLeft: src.Total(),
+		admitted:     src.Total(),
+		pending:      make(map[job.ID]*job.Job),
+		running:      make(map[job.ID]*runningJob),
+		startedOnce:  make(map[job.ID]bool),
+		pcieLoad:     make([]float64, opts.Cluster.TotalNodes()),
+		cpuCoresOn:   make([]int, opts.Cluster.TotalNodes()),
+		refreshSeen:  make(map[job.ID]bool),
+		results:      newResult(scheduler.Name(), opts.CompactCDFs),
+	}
+	if opts.CheckpointEvery > 0 {
+		s.nextCheckpointAt = opts.CheckpointEvery
+	}
+	// Pre-size the trace-proportional metric storage so month-scale runs
+	// never grow it mid-flight.
+	if opts.MaxVirtualTime > 0 && opts.SampleInterval > 0 {
+		s.results.growSeries(int(opts.MaxVirtualTime/opts.SampleInterval) + 2)
+	}
 	cfg := src.Config()
 	s.results.GPUQueue.Grow(cfg.GPUJobs)
 	s.results.CPUQueue.Grow(cfg.CPUJobs)
+	// A replay knows its trace window up front, so a run capped by
+	// MaxVirtualTime still averages over all of it.
+	s.lastArrival = src.LastArrival()
+	s.results.LastArrival = s.lastArrival
 	s.queueNextArrival()
 	if s.intakeErr != nil {
 		return nil, fmt.Errorf("sim: %w", s.intakeErr)
@@ -546,26 +498,22 @@ func (s *Simulator) pushEvent(ev event) {
 	s.push(e)
 }
 
-// pushArrival queues one streamed arrival. Its sequence number is not drawn
-// from s.seq but fixed by the job's position in the trace, negative so the
-// relative order against every other event kind reproduces the materialized
-// path exactly: there, arrival k gets seq k-1 and everything else starts at
-// totalJobs, so arrivals sort first at equal timestamps and among
-// themselves by ID; here, arrival k gets seq k-1-totalJobs (< 0) and
-// everything else starts at 0 — the same relative order, stream or slice.
-func (s *Simulator) pushArrival(j *job.Job) {
-	e := s.takeEvent()
-	*e = event{at: j.Arrival, seq: int64(j.ID) - 1 - int64(s.totalJobs), kind: evArrival, job: j}
-	heap.Push(&s.events, e)
-}
-
 // queueNextArrival captures the source cursor, draws the next job and
 // queues its arrival event. Capturing the cursor before the draw is what
 // makes mid-stream checkpoints complete: a resumed source regenerates the
 // very job whose arrival event the checkpoint skipped. A generation error
 // latches intakeErr and aborts the run at the next event boundary.
+//
+// The arrival's sequence number is not drawn from s.seq but fixed by its
+// yield position: minus the jobs the source had left before the draw, so
+// the first of N jobs gets -N and the last -1. Every other event's seq
+// counts up from 0, so a trace arrival sorts before any other event at
+// the same instant, and among arrivals by yield order. Only the source's
+// queued arrival has a negative seq, which is how checkpoints tell it
+// from a service's injected arrivals.
 func (s *Simulator) queueNextArrival() {
 	s.sourceCursor = s.source.CheckpointState()
+	seq := -int64(s.source.Remaining())
 	j, err := s.source.Next()
 	if err != nil {
 		s.intakeErr = fmt.Errorf("streaming intake: %w", err)
@@ -574,11 +522,9 @@ func (s *Simulator) queueNextArrival() {
 	if j == nil {
 		return // source drained
 	}
-	if j.ID < 1 || int64(j.ID) > int64(s.totalJobs) {
-		s.intakeErr = fmt.Errorf("streaming intake: job ID %d outside trace range [1, %d]", j.ID, s.totalJobs)
-		return
-	}
-	s.pushArrival(j)
+	e := s.takeEvent()
+	*e = event{at: j.Arrival, seq: seq, kind: evArrival, job: j}
+	heap.Push(&s.events, e)
 }
 
 // recycleEvent returns a dispatched event to the free list. Only events
@@ -679,6 +625,11 @@ func (s *Simulator) dispatch(e *event) (stalled bool) {
 	switch e.kind {
 	case evArrival:
 		s.handleArrival(e.job)
+		// Only the source's own arrival (negative seq) pulls the next one;
+		// an injected service arrival must not queue a second.
+		if e.seq < 0 {
+			s.queueNextArrival()
+		}
 	case evCompletion:
 		s.handleCompletion(e.jobID, e.version)
 	case evTick:
@@ -738,18 +689,13 @@ func (s *Simulator) handleArrival(j *job.Job) {
 	s.arrivalsLeft--
 	s.pending[j.ID] = j
 	s.touchJob(j.ID)
-	// On-admit max-update: a no-op for the materialized path (New scanned
-	// the whole slice up front) but load-bearing for streaming intake,
-	// where nobody has seen the future arrivals yet.
+	// On-admit max-update: a generator's future arrivals are unknown.
 	if j.Arrival > s.lastArrival {
 		s.lastArrival = j.Arrival
 		s.results.LastArrival = s.lastArrival
 	}
 	s.results.noteArrival(j, s.opts.MaxJobStats)
 	s.scheduler.Submit(j)
-	if s.source != nil {
-		s.queueNextArrival()
-	}
 }
 
 // touchJob journals a job whose lifecycle state the current event changed;

@@ -56,12 +56,23 @@ func hogJob(id job.ID, arrival time.Duration, cores int, bw float64, work time.D
 	}
 }
 
-func mustRun(t *testing.T, opts Options, s sched.Scheduler, jobs []*job.Job) *Result {
+// newSim builds a simulator that replays a hand-built trace.
+func newSim(t *testing.T, opts Options, s sched.Scheduler, jobs []*job.Job) *Simulator {
 	t.Helper()
-	simulator, err := New(opts, s, jobs)
+	src, err := trace.FromJobs(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	simulator, err := NewStreaming(opts, s, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return simulator
+}
+
+func mustRun(t *testing.T, opts Options, s sched.Scheduler, jobs []*job.Job) *Result {
+	t.Helper()
+	simulator := newSim(t, opts, s, jobs)
 	res, err := simulator.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -94,13 +105,15 @@ func TestOptionsValidate(t *testing.T) {
 	}
 }
 
+// TestNewValidation pins the constructor's own refusals; invalid jobs are
+// refused earlier, by trace.FromJobs.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(DefaultOptions(), nil, nil); err == nil {
-		t.Error("nil scheduler should fail")
+	src, err := trace.FromJobs(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := &job.Job{ID: 1, Kind: job.KindCPU, Request: job.Request{CPUCores: 0, Nodes: 1}}
-	if _, err := New(DefaultOptions(), sched.NewFIFO(), []*job.Job{bad}); err == nil {
-		t.Error("invalid job should fail")
+	if _, err := NewStreaming(DefaultOptions(), nil, src); err == nil {
+		t.Error("nil scheduler should fail")
 	}
 }
 
@@ -262,10 +275,7 @@ func (e *envScheduler) Submit(j *job.Job) {
 func TestEnvResizeJob(t *testing.T) {
 	es := &envScheduler{auto: true}
 	jobs := []*job.Job{gpuJob(1, 0, "alexnet", 2, 1, 2*time.Hour)}
-	simulator, err := New(testOptions(), es, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, testOptions(), es, jobs)
 	// Drive manually: run a few events, then resize mid-flight.
 	done := make(chan *Result, 1)
 	go func() {
@@ -303,10 +313,7 @@ func (r *resizeOnTick) Tick() {
 func TestEnvResizeSpeedsUpJob(t *testing.T) {
 	rs := &resizeOnTick{envScheduler: envScheduler{auto: true}, target: 1, cores: 6}
 	jobs := []*job.Job{gpuJob(1, 0, "alexnet", 2, 1, 2*time.Hour)}
-	simulator, err := New(testOptions(), rs, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, testOptions(), rs, jobs)
 	res, err := simulator.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -351,10 +358,7 @@ func (p *preemptOnTick) Tick() {
 func TestEnvPreemptJob(t *testing.T) {
 	ps := &preemptOnTick{envScheduler: envScheduler{auto: true}, target: 1}
 	jobs := []*job.Job{cpuJob(1, 0, 2, 10*time.Minute)}
-	simulator, err := New(testOptions(), ps, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, testOptions(), ps, jobs)
 	res, err := simulator.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -392,10 +396,7 @@ func (p *preemptGPU) Tick() {
 func TestEnvPreemptRejectsGPUJobs(t *testing.T) {
 	pg := &preemptGPU{envScheduler: envScheduler{auto: true}}
 	jobs := []*job.Job{gpuJob(1, 0, "resnet50", 3, 1, 10*time.Minute)}
-	simulator, err := New(testOptions(), pg, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, testOptions(), pg, jobs)
 	if _, err := simulator.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -425,10 +426,7 @@ func TestEnvThrottleSlowsHog(t *testing.T) {
 	base := mustRun(t, opts, &envScheduler{auto: true},
 		[]*job.Job{hogJob(2, 0, 16, 80, time.Hour)})
 	th := &throttleOnTick{envScheduler: envScheduler{auto: true}}
-	simulator, err := New(opts, th, []*job.Job{hogJob(2, 0, 16, 80, time.Hour)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, opts, th, []*job.Job{hogJob(2, 0, 16, 80, time.Hour)})
 	res, err := simulator.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -461,10 +459,7 @@ func (g *gpuUtilReader) Tick() {
 func TestEnvGPUUtilObservation(t *testing.T) {
 	gr := &gpuUtilReader{envScheduler: envScheduler{auto: true}}
 	jobs := []*job.Job{gpuJob(1, 0, "vgg16", 4, 1, 30*time.Minute)}
-	simulator, err := New(testOptions(), gr, jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, testOptions(), gr, jobs)
 	if _, err := simulator.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -510,10 +505,7 @@ func TestMaxVirtualTimeCap(t *testing.T) {
 
 func TestStartJobValidation(t *testing.T) {
 	es := &envScheduler{}
-	simulator, err := New(testOptions(), es, []*job.Job{gpuJob(1, 0, "resnet50", 3, 2, time.Hour)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, testOptions(), es, []*job.Job{gpuJob(1, 0, "resnet50", 3, 2, time.Hour)})
 	// Run one arrival by hand: Run() processes the arrival, scheduler does
 	// nothing, job stays pending, sim hits idle-never state... use the cap.
 	simulator.opts.MaxVirtualTime = time.Minute
@@ -546,10 +538,7 @@ func TestClusterInvariantsAfterRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simulator, err := New(testOptions(), sched.NewFIFO(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, testOptions(), sched.NewFIFO(), jobs)
 	if _, err := simulator.Run(); err != nil {
 		t.Fatal(err)
 	}

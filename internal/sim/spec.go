@@ -31,14 +31,15 @@ type RunSpec struct {
 	Name string
 	// Options configures the simulator.
 	Options Options
-	// Jobs is the materialized trace. Run hands these to the simulator
-	// without copying; clone the spec (or the jobs) before reusing it.
-	// Mutually exclusive with Trace.
+	// Jobs is a hand-built or recorded trace, replayed through
+	// trace.FromJobs. Runs hand these jobs to the simulator without
+	// copying; clone the spec (or the jobs) before reusing it. Mutually
+	// exclusive with Trace.
 	Jobs []*job.Job
-	// Trace, when set, streams the trace lazily from a seeded source
-	// instead of materializing Jobs: each run (and each clone) constructs
-	// its own trace.Source from this config, so intake memory stays O(1)
-	// in the job count. Mutually exclusive with Jobs.
+	// Trace generates the trace lazily from a seeded source instead: each
+	// run (and each clone) constructs its own trace.Source from this
+	// config, so intake memory stays O(1) in the job count. Mutually
+	// exclusive with Jobs.
 	Trace *trace.Config
 	// NewScheduler builds the run's scheduler.
 	NewScheduler func() (sched.Scheduler, error)
@@ -61,14 +62,25 @@ func (sp RunSpec) Clone() RunSpec {
 	return sp
 }
 
-// JobCount returns how many jobs the spec will submit, whichever intake
-// path it uses. For streaming specs this is arithmetic on the trace config,
-// not a walk of materialized jobs.
+// JobCount returns how many jobs the spec will submit, without building a
+// source: for a generated trace this is arithmetic on its config.
 func (sp RunSpec) JobCount() int {
 	if sp.Trace != nil {
 		return sp.Trace.CPUJobs + sp.Trace.GPUJobs
 	}
 	return len(sp.Jobs)
+}
+
+// Source builds a fresh intake source for one run of the spec: a generator
+// over Trace when set, else a replay of Jobs.
+func (sp RunSpec) Source() (*trace.Source, error) {
+	if sp.Trace == nil {
+		return trace.FromJobs(sp.Jobs)
+	}
+	if len(sp.Jobs) > 0 {
+		return nil, fmt.Errorf("sim: run spec %q sets both Jobs and Trace", sp.Name)
+	}
+	return trace.NewSource(*sp.Trace)
 }
 
 // Validate checks the spec without building anything.
@@ -101,24 +113,13 @@ func (sp RunSpec) Run() (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
 	}
-	var simulator *Simulator
-	if sp.Trace != nil {
-		if len(sp.Jobs) > 0 {
-			return nil, fmt.Errorf("sim: run %q sets both Jobs and Trace", sp.Name)
-		}
-		src, err := trace.NewSource(*sp.Trace)
-		if err != nil {
-			return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
-		}
-		simulator, err = NewStreaming(sp.Options, scheduler, src)
-		if err != nil {
-			return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
-		}
-	} else {
-		simulator, err = New(sp.Options, scheduler, sp.Jobs)
-		if err != nil {
-			return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
-		}
+	src, err := sp.Source()
+	if err != nil {
+		return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
+	}
+	simulator, err := NewStreaming(sp.Options, scheduler, src)
+	if err != nil {
+		return nil, fmt.Errorf("sim: run %q: %w", sp.Name, err)
 	}
 	res, err := simulator.Run()
 	if err != nil {

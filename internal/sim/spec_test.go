@@ -124,10 +124,7 @@ func TestSimulatorSealsPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simulator, err := New(opts, s, spec.Jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	simulator := newSim(t, opts, s, spec.Jobs)
 	// Sabotage the caller's plan after construction, then run. opts shares
 	// its Faults slice with spec, so only the simulator's sealed copy can
 	// still match the baseline.

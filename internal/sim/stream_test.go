@@ -40,25 +40,22 @@ func streamTestOptions(seed int64) Options {
 	return opts
 }
 
-// runMaterialized executes the slice-intake path.
-func runMaterialized(t *testing.T, opts Options, mk func() sched.Scheduler, cfg trace.Config) *Result {
+// runReplayed replays the generated trace's materialized slice through
+// trace.FromJobs.
+func runReplayed(t *testing.T, opts Options, mk func() sched.Scheduler, cfg trace.Config) *Result {
 	t.Helper()
 	jobs, err := trace.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(opts, mk(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
+	res, err := newSim(t, opts, mk(), jobs).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// runStreaming executes the lazy-source intake path.
+// runStreaming runs the trace straight from its generator.
 func runStreaming(t *testing.T, opts Options, mk func() sched.Scheduler, cfg trace.Config) *Result {
 	t.Helper()
 	src, err := trace.NewSource(cfg)
@@ -76,10 +73,11 @@ func runStreaming(t *testing.T, opts Options, mk func() sched.Scheduler, cfg tra
 	return res
 }
 
-// TestStreamingMatchesMaterialized is the tentpole's safety net: for both a
-// stateless scheduler (FIFO) and the full CODA stack, a streaming run must
-// produce a byte-identical result dump to a materialized run of the same
-// trace config under an active chaos plan.
+// TestStreamingMatchesMaterialized is the reference that a replayed trace
+// and its generator agree: for both a stateless scheduler (FIFO) and the
+// full CODA stack, a run straight from trace.NewSource must produce a
+// byte-identical result dump to a run replaying trace.Generate's slice of
+// the same config through trace.FromJobs, under an active chaos plan.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	cfg := streamTraceConfig(17)
 	opts := streamTestOptions(17)
@@ -89,10 +87,10 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	}
 	for name, mk := range schedulers {
 		t.Run(name, func(t *testing.T) {
-			want := DumpResult(runMaterialized(t, opts, mk, cfg))
+			want := DumpResult(runReplayed(t, opts, mk, cfg))
 			got := DumpResult(runStreaming(t, opts, mk, cfg))
 			if got != want {
-				t.Fatalf("streaming diverged from materialized at %s", FirstDiff(want, got))
+				t.Fatalf("generated run diverged from replayed run at %s", FirstDiff(want, got))
 			}
 		})
 	}
@@ -260,11 +258,8 @@ func TestCheckpointJobBound(t *testing.T) {
 
 		opts := baseOpts()
 		opts.CheckpointSink = func(ck *Checkpoint) error { return nil }
-		s, err := New(opts, codaScheduler(t, opts), overload())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = s.Run()
+		s := newSim(t, opts, codaScheduler(t, opts), overload())
+		_, err := s.Run()
 		if err == nil {
 			t.Fatal("run checkpointed more pending jobs than the bound without erroring")
 		}
@@ -287,11 +282,8 @@ func TestCheckpointJobBound(t *testing.T) {
 			snap = data
 			return sentinel
 		}
-		s, err := New(opts, codaScheduler(t, opts), overload())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err = s.Run(); err == nil || !strings.Contains(err.Error(), sentinel.Error()) {
+		s := newSim(t, opts, codaScheduler(t, opts), overload())
+		if _, err := s.Run(); err == nil || !strings.Contains(err.Error(), sentinel.Error()) {
 			t.Fatalf("run did not stop on the sink sentinel: %v", err)
 		}
 		var ck Checkpoint

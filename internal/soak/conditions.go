@@ -280,18 +280,11 @@ func startOrResume(template sim.RunSpec, latest []byte, sink sim.CheckpointSink)
 	}
 	if latest == nil {
 		fresh := template.Clone()
-		if fresh.Trace != nil {
-			src, err := trace.NewSource(*fresh.Trace)
-			if err != nil {
-				return nil, fmt.Errorf("replay trace source: %w", err)
-			}
-			s, err := sim.NewStreaming(fresh.Options, scheduler, src)
-			if err != nil {
-				return nil, fmt.Errorf("replay cold start: %w", err)
-			}
-			return s, nil
+		src, err := fresh.Source()
+		if err != nil {
+			return nil, fmt.Errorf("replay trace source: %w", err)
 		}
-		s, err := sim.New(fresh.Options, scheduler, fresh.Jobs)
+		s, err := sim.NewStreaming(fresh.Options, scheduler, src)
 		if err != nil {
 			return nil, fmt.Errorf("replay cold start: %w", err)
 		}

@@ -19,9 +19,12 @@
 package trace
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/coda-repro/coda/internal/job"
@@ -206,7 +209,9 @@ func (st *stream) prime() {
 // Resume(src.CheckpointState()) yields the exact job sequence src would
 // have yielded.
 type Cursor struct {
-	Config   Config        `json:"config"`
+	Config Config `json:"config"`
+	// NextID is one more than the count of jobs already yielded (the
+	// generator's next job ID).
 	NextID   int64         `json:"nextID"`
 	GPUDraws int64         `json:"gpuDraws"`
 	CPUDraws int64         `json:"cpuDraws"`
@@ -216,19 +221,32 @@ type Cursor struct {
 	CPUFrac  float64       `json:"cpuFrac"`
 	GPUNext  time.Duration `json:"gpuNext"`
 	CPUNext  time.Duration `json:"cpuNext"`
+	// Replay marks a FromJobs cursor: Jobs holds the jobs not yet yielded,
+	// in yield order, and Config carries only the trace's job counts. Jobs
+	// shares the source's job pointers, so encode the cursor before the
+	// next yielded job changes.
+	Replay bool       `json:"replay,omitempty"`
+	Jobs   []*job.Job `json:"jobs,omitempty"`
 }
 
-// Source yields a trace's jobs lazily in arrival order with IDs assigned in
-// yield order. It is pure (no wall clock, no global rand, no goroutines) and
-// deterministic: NewSource(cfg) always yields the identical sequence, which
-// is also exactly what Generate(cfg) returns as a slice.
+// Source yields a trace's jobs lazily in arrival order. It is pure (no wall
+// clock, no global rand, no goroutines) and deterministic. A generated
+// source (NewSource) assigns IDs in yield order and always yields the
+// identical sequence, which is also exactly what Generate(cfg) returns as a
+// slice. A replayed source (FromJobs) yields a given slice's jobs as they
+// are.
 type Source struct {
 	cfg      Config
 	gpu, cpu stream
 	nextID   int64
 
-	gpuWeights, cpuWeights       []float64
-	modelWeights, configWeights  []float64
+	// replay marks a FromJobs source; jobs are the ones it has not yet
+	// yielded.
+	replay bool
+	jobs   []*job.Job
+
+	gpuWeights, cpuWeights      []float64
+	modelWeights, configWeights []float64
 }
 
 // NewSource validates cfg and positions a fresh Source at the first job.
@@ -269,18 +287,67 @@ func NewSource(cfg Config) (*Source, error) {
 	return s, nil
 }
 
-// Config returns the source's configuration.
+// FromJobs builds a source that replays a hand-built or recorded trace. It
+// validates every job and yields a private copy of the slice stably sorted
+// by arrival, so jobs with equal arrival times keep their slice order. The
+// jobs themselves are not copied and keep their IDs, which need not be 1..N.
+func FromJobs(jobs []*job.Job) (*Source, error) {
+	s := &Source{nextID: 1, replay: true, jobs: slices.Clone(jobs)}
+	for _, j := range jobs {
+		if j == nil {
+			return nil, errors.New("trace: nil job")
+		}
+		if err := j.Validate(); err != nil {
+			return nil, fmt.Errorf("trace: %w", err)
+		}
+		if j.IsGPU() {
+			s.cfg.GPUJobs++
+		} else {
+			s.cfg.CPUJobs++
+		}
+	}
+	slices.SortStableFunc(s.jobs, func(a, b *job.Job) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	return s, nil
+}
+
+// Config returns the source's configuration. A replayed source has no
+// generator configuration: only CPUJobs and GPUJobs are set.
 func (s *Source) Config() Config { return s.cfg }
 
 // Remaining is how many jobs Next has yet to yield.
-func (s *Source) Remaining() int { return s.gpu.left + s.cpu.left }
+func (s *Source) Remaining() int {
+	if s.replay {
+		return len(s.jobs)
+	}
+	return s.gpu.left + s.cpu.left
+}
+
+// LastArrival is the trace's last arrival time as known before it is
+// drained: a replay's final job's, 0 for a generator, whose jobs are drawn
+// only as they are yielded.
+func (s *Source) LastArrival() time.Duration {
+	if n := len(s.jobs); n > 0 {
+		return s.jobs[n-1].Arrival
+	}
+	return 0
+}
 
 // Total is the trace's full job count, emitted or not.
 func (s *Source) Total() int { return s.cfg.CPUJobs + s.cfg.GPUJobs }
 
 // Next yields the next job in arrival order, or (nil, nil) when the trace is
-// drained. The returned job is freshly allocated and owned by the caller.
+// drained. A generated job is freshly allocated and owned by the caller; a
+// replayed job is the pointer FromJobs was given.
 func (s *Source) Next() (*job.Job, error) {
+	if s.replay {
+		if len(s.jobs) == 0 {
+			return nil, nil
+		}
+		j := s.jobs[0]
+		s.jobs = s.jobs[1:]
+		s.nextID++
+		return j, nil
+	}
 	gpuTurn := s.gpu.left > 0 && (s.cpu.left == 0 || s.gpu.next <= s.cpu.next)
 	var j *job.Job
 	var err error
@@ -399,13 +466,19 @@ func (s *Source) CheckpointState() Cursor {
 		CPUFrac:  s.cpu.frac,
 		GPUNext:  s.gpu.next,
 		CPUNext:  s.cpu.next,
+		Replay:   s.replay,
+		Jobs:     s.jobs,
 	}
 }
 
-// Resume rebuilds a Source at the cursor's position: it re-seeds both
-// sub-stream RNGs and fast-forwards them by the recorded draw counts, so the
-// resumed source yields byte-identical jobs to the one that was captured.
+// Resume rebuilds a Source at the cursor's position. A generated source
+// re-seeds both sub-stream RNGs and fast-forwards them by the recorded draw
+// counts; a replayed one replays the cursor's jobs. Either way the resumed
+// source yields byte-identical jobs to the one that was captured.
 func Resume(cur Cursor) (*Source, error) {
+	if cur.Replay {
+		return resumeReplay(cur)
+	}
 	s, err := NewSource(cur.Config)
 	if err != nil {
 		return nil, fmt.Errorf("trace: resume: %w", err)
@@ -434,6 +507,22 @@ func Resume(cur Cursor) (*Source, error) {
 	s.gpu.left, s.cpu.left = cur.GPULeft, cur.CPULeft
 	s.gpu.frac, s.cpu.frac = cur.GPUFrac, cur.CPUFrac
 	s.gpu.next, s.cpu.next = cur.GPUNext, cur.CPUNext
+	return s, nil
+}
+
+// resumeReplay rebuilds a FromJobs source from its cursor.
+func resumeReplay(cur Cursor) (*Source, error) {
+	s, err := FromJobs(cur.Jobs)
+	if err != nil {
+		return nil, fmt.Errorf("trace: resume: %w", err)
+	}
+	yielded := cur.Config.CPUJobs + cur.Config.GPUJobs - len(cur.Jobs)
+	if yielded < 0 || cur.NextID != int64(yielded)+1 {
+		return nil, fmt.Errorf("trace: resume: replay of %d jobs with %d left inconsistent with next ID %d",
+			cur.Config.CPUJobs+cur.Config.GPUJobs, len(cur.Jobs), cur.NextID)
+	}
+	s.cfg = Config{CPUJobs: cur.Config.CPUJobs, GPUJobs: cur.Config.GPUJobs}
+	s.nextID = cur.NextID
 	return s, nil
 }
 

@@ -226,3 +226,75 @@ func TestHourlyArrivalsSourceMatchesSlice(t *testing.T) {
 		t.Fatalf("filtered hourly bins differ:\nsource: %v\nslice:  %v", got2, want2)
 	}
 }
+
+// TestFromJobsRejectsInvalidJob pins the refusal the engine's constructor
+// used to give: the job's own validation error, wrapped.
+func TestFromJobsRejectsInvalidJob(t *testing.T) {
+	bad := &job.Job{ID: 1, Kind: job.KindCPU, Request: job.Request{CPUCores: 0, Nodes: 1}}
+	_, err := FromJobs([]*job.Job{bad})
+	if err == nil {
+		t.Fatal("FromJobs accepted an invalid job")
+	}
+	if want := "trace: " + bad.Validate().Error(); err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+}
+
+// TestFromJobsReplayResume drains a replayed trace part way, round-trips
+// its cursor through JSON and checks the resumed source yields the exact
+// remainder: sorted by arrival, ties in slice order, IDs untouched, and
+// the caller's slice left in its own order.
+func TestFromJobsReplayResume(t *testing.T) {
+	mk := func(id job.ID, at time.Duration) *job.Job {
+		return &job.Job{ID: id, Kind: job.KindCPU, Request: job.Request{CPUCores: 2, Nodes: 1}, Arrival: at, Work: time.Hour}
+	}
+	jobs := []*job.Job{mk(40, 2*time.Hour), mk(7, time.Hour), mk(3, time.Hour), mk(12, 0), mk(5, time.Hour)}
+	src, err := FromJobs(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := []job.ID{jobs[0].ID, jobs[1].ID, jobs[4].ID}; !reflect.DeepEqual(got, []job.ID{40, 7, 5}) {
+		t.Fatalf("FromJobs reordered the caller's slice: %v", got)
+	}
+	if src.Total() != 5 || src.Remaining() != 5 {
+		t.Fatalf("Total/Remaining = %d/%d, want 5/5", src.Total(), src.Remaining())
+	}
+	next := func(s *Source) job.ID {
+		t.Helper()
+		j, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j == nil {
+			return 0
+		}
+		return j.ID
+	}
+	if a, b := next(src), next(src); a != 12 || b != 7 {
+		t.Fatalf("first yields %d, %d; want 12, 7", a, b)
+	}
+	data, err := json.Marshal(src.CheckpointState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur Cursor
+	if err := json.Unmarshal(data, &cur); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Resume(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Total() != 5 || resumed.Remaining() != 3 {
+		t.Fatalf("resumed Total/Remaining = %d/%d, want 5/3", resumed.Total(), resumed.Remaining())
+	}
+	for _, want := range []job.ID{3, 5, 40, 0} {
+		if a, b := next(src), next(resumed); a != want || b != want {
+			t.Fatalf("original yields %d, resumed %d; want %d", a, b, want)
+		}
+	}
+	cur.NextID++
+	if _, err := Resume(cur); err == nil {
+		t.Error("Resume accepted a replay cursor whose next ID disagrees with its jobs")
+	}
+}
